@@ -77,6 +77,11 @@ def graph_from_edges(vertex_count: int, us, vs) -> SimpleGraph:
     return SimpleGraph(vertex_count, indptr, indices, len(keys))
 
 
+def image_tables(family: MapFamily) -> list[np.ndarray]:
+    """One image table per map of the family, -1 where there is no image."""
+    return [image_table(m, family.space) for m in family.maps]
+
+
 def build_graph(spec: GraphSpec | MapFamily) -> SimpleGraph:
     """Vertex i ~ vertex j (i != j) iff some map sends state i to state j or
     state j to state i."""

@@ -442,10 +442,13 @@ def image_table(expr: MapExpr, space: StateSpace) -> np.ndarray:
         elif isinstance(expr, Dickson):
             vals = proper_divisor_sums_upto(n)[r] % n
         elif isinstance(expr, WSMap):
-            raw = np.floor(r.astype(np.float64) ** (1.0 + expr.epsilon)).astype(
-                np.int64
-            )
-            vals = (raw + expr.shift % n) % n
+            # Python's float power, as in apply: numpy's vectorised power can
+            # differ from it in the last bit, and it raises OverflowError
+            # where numpy gives inf.  fmod is exact, so only values below n
+            # are cast (casting a float at or above 2^63 to int64 is undefined).
+            p = 1.0 + expr.epsilon
+            raw = np.floor(np.array([x**p for x in r.astype(np.float64).tolist()]))
+            vals = (np.fmod(raw, n).astype(np.int64) + expr.shift % n) % n
         else:
             raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
         return space.residue_indices(vals)

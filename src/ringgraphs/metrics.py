@@ -22,6 +22,10 @@ from .graphs import SimpleGraph
 
 EXACT_BFS_LIMIT = 1 << 16
 SAMPLE_SOURCES = 2048
+# vertices per block-diagonal matrix in component_counts: large enough that
+# scipy's per-call cost is shared by many small graphs, small enough that a
+# sweep's working set stays a few MB
+_CHUNK_VERTICES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,11 +77,53 @@ def components(g: SimpleGraph) -> tuple[int, np.ndarray]:
     return _scipy_components(_as_sparse(g), directed=False)
 
 
-def component_sizes(g: SimpleGraph) -> tuple[int, ...]:
-    count, labels = components(g)
-    if count == 0:
-        return ()
-    return tuple(int(c) for c in sorted(np.bincount(labels, minlength=count), reverse=True))
+def component_counts(graphs) -> np.ndarray:
+    """Component count of each graph of a sweep, equal to
+    components(build_graph(f))[0] for the family f behind it.
+
+    A graph is given as its image tables, one array per map with -1 where a
+    state has no image, and every graph of a sweep has the same number of
+    maps.  The graphs are stacked into block-diagonal matrices of about
+    _CHUNK_VERTICES vertices, one scipy call per matrix.  Nothing is
+    canonicalised: a missing image becomes a self-loop and parallel images
+    stay, neither of which changes a component count, so every vertex has
+    one entry per map and the stacked CSR needs no sort.
+    """
+    counts = []
+    chunk, total = [], 0
+    for tables in graphs:
+        if chunk and len(tables) != len(chunk[0]):
+            raise ValueError("every graph of a sweep needs the same number of maps")
+        size = len(tables[0])
+        if chunk and total + size > _CHUNK_VERTICES:
+            counts.append(_block_counts(chunk))
+            chunk, total = [], 0
+        chunk.append(tables)
+        total += size
+    if chunk:
+        counts.append(_block_counts(chunk))
+    return np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
+
+
+def _block_counts(chunk: list) -> np.ndarray:
+    """Component counts of the graphs of one block-diagonal matrix."""
+    sizes = np.array([len(tables[0]) for tables in chunk], dtype=np.int64)
+    total = int(sizes.sum())
+    maps = len(chunk[0])
+    block = np.repeat(np.arange(len(chunk)), sizes)
+    offset = (np.cumsum(sizes) - sizes)[block]
+    vertex = np.arange(total, dtype=np.int64)
+    cols = np.empty((total, maps), dtype=np.int32)
+    for k in range(maps):
+        img = np.concatenate([tables[k] for tables in chunk])
+        cols[:, k] = np.where(img >= 0, img + offset, vertex)
+    indptr = np.arange(0, maps * total + 1, maps)  # scipy keeps int32 if it fits
+    data = np.ones(maps * total)  # float64, which scipy would otherwise sort to cast
+    mat = csr_matrix((data, cols.ravel(), indptr), shape=(total, total))
+    count, labels = _scipy_components(mat, directed=False)
+    owner = np.empty(count, dtype=np.int64)
+    owner[labels] = block  # no component spans two blocks
+    return np.bincount(owner, minlength=len(chunk))
 
 
 def is_connected(g: SimpleGraph) -> bool:

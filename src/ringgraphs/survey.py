@@ -14,11 +14,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _scipy_components
+
+# components and _scipy_components are no longer called here; they stay
+# importable because perfbench/spans.py traces survey's calls by these names
+from scipy.sparse.csgraph import connected_components as _scipy_components  # noqa: F401
 
 from . import rng
-from .graphs import build_graph
+from .graphs import build_graph, image_tables
 from .maps import (
     CARule,
     MapExpr,
@@ -28,7 +30,7 @@ from .maps import (
     format_map,
     image_table,
 )
-from .metrics import components, full_report, triangle_count
+from .metrics import component_counts, components, full_report, triangle_count  # noqa: F401
 from .numtheory import first_primes, is_primitive_root
 from .spaces import BitVec, Zn, parse_space
 
@@ -95,15 +97,13 @@ def connectivity_locus(
     n_values = tuple(int(n) for n in n_values)
     if not n_values:
         raise ValueError("empty sweep range")
-    counts = []
-    for n in n_values:
-        family = MapFamily(maps, parse_space(f"{space_kind}:{n}"))
-        counts.append(components(build_graph(family))[0])
+    families = (MapFamily(maps, parse_space(f"{space_kind}:{n}")) for n in n_values)
+    counts = component_counts(image_tables(f) for f in families)
     gen = (("space", space_kind), ("maps", ",".join(format_map(m) for m in maps)))
     return LocusResult(
         axis=f"n={n_values[0]}..{n_values[-1]}",
         params=n_values,
-        component_counts=tuple(counts),
+        component_counts=tuple(counts.tolist()),
         generation=gen,
     )
 
@@ -125,18 +125,16 @@ def euler_sequence(n_max: int) -> tuple[int, ...]:
 
 def _ca_cell_counts(width: int, a_rows) -> np.ndarray:
     """Component counts for grid cells (a, b), b >= a, for the given rows."""
-    size = 1 << width
     space = BitVec(width)
     tables = [image_table(CARule(r), space) for r in range(GRID_RULES)]
-    idx = np.arange(size, dtype=np.int64)
-    rows = np.concatenate([idx, idx])
-    data = np.ones(2 * size, dtype=np.int8)
+    counts = component_counts(
+        (tables[a], tables[b]) for a in a_rows for b in range(a, GRID_RULES)
+    )
     out = np.zeros((len(a_rows), GRID_RULES), dtype=np.int32)
+    start = 0
     for i, a in enumerate(a_rows):
-        for b in range(a, GRID_RULES):
-            cols = np.concatenate([tables[a], tables[b]])
-            mat = coo_matrix((data, (rows, cols)), shape=(size, size))
-            out[i, b], _ = _scipy_components(mat, directed=False)
+        out[i, a:] = counts[start : start + GRID_RULES - a]
+        start += GRID_RULES - a
     return out
 
 

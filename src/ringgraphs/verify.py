@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import build_graph
+from .graphs import build_graph, image_tables
 from .maps import Affine, MapFamily, MatQuad, PowerPlus, preset
-from .metrics import components, is_connected, triangle_count
+from .metrics import component_counts, components, triangle_count
 from .numtheory import (
     factorize,
     is_fermat_prime,
@@ -110,17 +110,26 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
+def _connected(maps: tuple, space_cls, ns) -> list[bool]:
+    """Whether the graph of maps on space_cls(n) is connected, for each n."""
+    families = (MapFamily(maps, space_cls(n)) for n in ns)
+    return (component_counts(image_tables(f) for f in families) == 1).tolist()
+
+
+def _tally(ns, got, predicate) -> tuple[int, list]:
+    """(agreements, disagreeing n) of observed connectivity against the
+    prediction for each n."""
+    bad = [n for n, g in zip(ns, got) if g != predicate(n)]
+    return len(ns) - len(bad), bad
+
+
 def verify_lemma1(n_max: int) -> Verdict:
     """The doubling graph on {0..n-1} is connected iff n is a power of 2."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    agree, bad = 0, []
-    for n in range(2, n_max + 1):
-        got = is_connected(build_graph(MapFamily((Affine(2, 0),), Zn(n))))
-        if got == _is_power_of_two(n):
-            agree += 1
-        else:
-            bad.append(n)
+    ns = range(2, n_max + 1)
+    got = _connected((Affine(2, 0),), Zn, ns)
+    agree, bad = _tally(ns, got, _is_power_of_two)
     return Verdict("lemma1", f"2..{n_max}", agree, tuple(bad))
 
 
@@ -130,17 +139,16 @@ def verify_artin(p_max: int) -> Verdict:
     connected/disconnected prime lists up to 103."""
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
-    agree, bad = 0, []
-    connected_primes = []
-    for n in range(2, p_max + 1):
-        got = is_connected(build_graph(MapFamily((Affine(2, 0),), ZnNonzero(n))))
-        want = _is_power_of_two(n) or (is_prime(n) and is_primitive_root(2, n))
-        if got == want:
-            agree += 1
-        else:
-            bad.append(n)
-        if got and is_prime(n) and n % 2 == 1 and n <= 103:
-            connected_primes.append(n)
+    ns = range(2, p_max + 1)
+    got = _connected((Affine(2, 0),), ZnNonzero, ns)
+    agree, bad = _tally(
+        ns,
+        got,
+        lambda n: _is_power_of_two(n) or (is_prime(n) and is_primitive_root(2, n)),
+    )
+    connected_primes = [
+        n for n, g in zip(ns, got) if g and is_prime(n) and n % 2 == 1 and n <= 103
+    ]
     if p_max >= 103:
         if tuple(connected_primes) != ARTIN_CONNECTED_PRIMES:
             bad.append(f"connected-prime-list={connected_primes}")
@@ -159,14 +167,9 @@ def verify_fermat(n_max: int, extras=(65537,)) -> Verdict:
     a prime of the form 2^(2^k) + 1."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    agree, bad = 0, []
-    for n in list(range(2, n_max + 1)) + [int(e) for e in extras]:
-        got = is_connected(build_graph(MapFamily((PowerPlus(2, 0),), ZnNonzero(n))))
-        want = n == 2 or is_fermat_prime(n)
-        if got == want:
-            agree += 1
-        else:
-            bad.append(n)
+    ns = list(range(2, n_max + 1)) + [int(e) for e in extras]
+    got = _connected((PowerPlus(2, 0),), ZnNonzero, ns)
+    agree, bad = _tally(ns, got, lambda n: n == 2 or is_fermat_prime(n))
     extra_txt = f"+{list(extras)}" if extras else ""
     return Verdict("fermat", f"2..{n_max}{extra_txt}", agree, tuple(bad))
 
@@ -198,19 +201,11 @@ def verify_pierpont(n_max: int, space_kind: str = "znz") -> Verdict:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     space_cls = {"znz": ZnNonzero, "from2": ZnFromTwo}[space_kind]
-    agree, bad = 0, []
-    connected = []
     start = 2 if space_kind == "znz" else 3
-    for n in range(start, n_max + 1):
-        family = MapFamily((PowerPlus(2, 0), PowerPlus(3, 0)), space_cls(n))
-        got = is_connected(build_graph(family))
-        want = is_one_plus_smooth_prime(n, {2, 3})
-        if got == want:
-            agree += 1
-        else:
-            bad.append(n)
-        if got:
-            connected.append(n)
+    ns = range(start, n_max + 1)
+    got = _connected((PowerPlus(2, 0), PowerPlus(3, 0)), space_cls, ns)
+    agree, bad = _tally(ns, got, lambda n: is_one_plus_smooth_prime(n, {2, 3}))
+    connected = [n for n, g in zip(ns, got) if g]
     if space_kind == "znz" and n_max >= 577:
         listed = tuple(n for n in connected if n <= 577)
         if listed != PIERPONT_LIST_577:
@@ -227,25 +222,16 @@ def verify_power_pair(a: int, b: int, n_max: int, prime_set=None) -> Verdict:
         raise ValueError("n_max must be >= 2")
     if prime_set is None:
         prime_set = set(factorize(a).primes()) | set(factorize(b).primes())
-    agree, bad = 0, []
-    for n in range(2, n_max + 1):
-        family = MapFamily((PowerPlus(a, 0), PowerPlus(b, 0)), ZnNonzero(n))
-        got = is_connected(build_graph(family))
-        want = is_one_plus_smooth_prime(n, prime_set)
-        if got == want:
-            agree += 1
-        else:
-            bad.append(n)
+    ns = range(2, n_max + 1)
+    got = _connected((PowerPlus(a, 0), PowerPlus(b, 0)), ZnNonzero, ns)
+    agree, bad = _tally(ns, got, lambda n: is_one_plus_smooth_prime(n, prime_set))
     ps = "{" + ",".join(str(p) for p in sorted(prime_set)) + "}"
     return Verdict("power-pair", f"x^{a},x^{b},P={ps},2..{n_max}", agree, tuple(bad))
 
 
 def _affine_connected_set(a: int, b: int, n_max: int) -> list[int]:
-    out = []
-    for n in range(1, n_max + 1):
-        if is_connected(build_graph(MapFamily((Affine(a, b),), Zn(n)))):
-            out.append(n)
-    return out
+    ns = range(1, n_max + 1)
+    return [n for n, g in zip(ns, _connected((Affine(a, b),), Zn, ns)) if g]
 
 
 def verify_affine_table(n_max: int, containment_max: int | None = None) -> Verdict:
@@ -287,12 +273,10 @@ def verify_collatz_connected(n_max: int) -> Verdict:
     disconnected (none are expected)."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    agree, bad = 0, []
-    for n in range(2, n_max + 1):
-        if is_connected(build_graph(preset("collatz", n))):
-            agree += 1
-        else:
-            bad.append(n)
+    ns = range(2, n_max + 1)
+    got = _connected((Affine(2, 0), Affine(3, 1)), Zn, ns)
+    bad = [n for n, g in zip(ns, got) if not g]
+    agree = len(ns) - len(bad)
     return Verdict("collatz-connected", f"2..{n_max}", agree, tuple(bad))
 
 

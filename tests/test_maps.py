@@ -142,6 +142,30 @@ def test_ws_map_matches_shift_at_zero_epsilon():
     assert apply(WSMap(0.5, 1), State(Zn(100), 5)).payload == (int(5**1.5) + 1) % 100
 
 
+def test_ws_table_matches_apply_above_two_to_the_63():
+    # x^3 passes 2^63 near the top of zn:2^22, where the power is a float that
+    # int64 cannot hold; above 2^53 every float is an integer, so floor keeps
+    # any last-bit difference between two float powers
+    space = Zn(1 << 22)
+    expr = WSMap(2.0, 0)
+    table = image_table(expr, space)
+    tail = range(space.n - 2000, space.n)
+    assert [int(table[x]) for x in tail] == [
+        apply(expr, State(space, x)).payload for x in tail
+    ]
+    small = Zn(5000)
+    table = image_table(WSMap(5.0, 3), small)
+    assert table.tolist() == [apply(WSMap(5.0, 3), s).payload for s in small.enumerate()]
+
+
+def test_ws_overflow_is_rejected_on_both_routes():
+    # 9^401 is above the largest float
+    with pytest.raises(OverflowError):
+        image_table(WSMap(400.0, 0), Zn(10))
+    with pytest.raises(OverflowError):
+        apply(WSMap(400.0, 0), State(Zn(10), 9))
+
+
 def test_matrix_power_application():
     s = State(UpperTri2(5), (1, 1, 0, 1))
     assert apply(PowerPlus(2, 0), s).payload == (1, 2, 0, 1)

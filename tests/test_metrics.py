@@ -4,10 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from ringgraphs import metrics
-from ringgraphs.graphs import build_graph, graph_from_edges
-from ringgraphs.maps import Affine, MapFamily, PowerPlus, preset
-from ringgraphs.spaces import Zn
+from ringgraphs import metrics, survey
+from ringgraphs.graphs import build_graph, graph_from_edges, image_tables
+from ringgraphs.maps import Affine, CARule, MapFamily, MatQuad, PowerPlus, preset
+from ringgraphs.spaces import (
+    BitVec,
+    Mat2,
+    UpperTri2,
+    Zn,
+    ZnFromTwo,
+    ZnNonzero,
+    ZnUnits,
+)
 from ringgraphs.unionfind import UnionFind
 
 from conftest import bfs_distances, brute_triangles
@@ -202,3 +210,123 @@ def test_sampled_distance_scan(monkeypatch):
     assert again.mu == sampled.mu and again.diameter == sampled.diameter
     other = metrics.full_report(g, sample_seed=6)
     assert other.sampled_sources == 48
+
+
+# -- batched component counts -----------------------------------------------
+
+
+def union_find_count(tables) -> int:
+    uf = UnionFind(len(tables[0]))
+    for table in tables:
+        for x, y in enumerate(table.tolist()):
+            if y >= 0:
+                uf.union(x, y)
+    return uf.count
+
+
+def assert_kernel_matches_both_routes(families):
+    got = metrics.component_counts(image_tables(f) for f in families)
+    per_graph = [metrics.components(build_graph(f))[0] for f in families]
+    oracle = [union_find_count(image_tables(f)) for f in families]
+    assert got.tolist() == per_graph == oracle
+
+
+def test_component_counts_on_restricted_spaces():
+    # escaping images (-1) on every restricted residue space
+    families = []
+    for n in range(3, 60):
+        families.append(MapFamily((Affine(2, 0),), ZnNonzero(n)))
+        families.append(MapFamily((PowerPlus(2, 0), PowerPlus(3, 0)), ZnFromTwo(n)))
+        families.append(MapFamily((Affine(1, 1), PowerPlus(2, 0)), ZnUnits(n)))
+    assert any((t < 0).any() for f in families for t in image_tables(f))
+    for kind in (ZnNonzero, ZnFromTwo, ZnUnits):
+        assert_kernel_matches_both_routes([f for f in families if isinstance(f.space, kind)])
+
+
+def test_component_counts_on_size_zero_and_one():
+    singles = [
+        MapFamily((Affine(2, 0),), Zn(1)),
+        MapFamily((Affine(2, 0),), ZnNonzero(2)),
+        MapFamily((Affine(1, 1),), ZnUnits(1)),
+        MapFamily((PowerPlus(2, 0),), Mat2(1)),
+    ]
+    assert_kernel_matches_both_routes(singles)
+    empty = (np.zeros(0, dtype=np.int64),)
+    assert metrics.components(graph_from_edges(0, [], []))[0] == 0
+    assert union_find_count(empty) == 0
+    assert metrics.component_counts([empty]).tolist() == [0]
+    assert metrics.component_counts([empty, empty]).tolist() == [0, 0]
+    tables = [image_tables(f) for f in singles]
+    assert metrics.component_counts([empty, tables[0], empty]).tolist() == [0, 1, 0]
+    assert metrics.component_counts([]).tolist() == []
+
+
+def test_component_counts_matrix_rings():
+    assert_kernel_matches_both_routes(
+        [
+            MapFamily((MatQuad((1, 2, 2, 4)),), Mat2(5)),
+            MapFamily((PowerPlus(2, 0),), UpperTri2(5)),
+            MapFamily((MatQuad((0, 0, 0, 0)),), Mat2(2)),
+        ]
+    )
+    family = MapFamily((MatQuad((1, 2, 2, 4)),), Mat2(5))
+    assert metrics.component_counts([image_tables(family)]).tolist() == [5]
+
+
+def test_component_counts_straddle_chunks(monkeypatch):
+    # sizes 1..80 against a 50-vertex chunk: graphs straddle block edges,
+    # several are larger than a chunk, and empty graphs sit between them
+    monkeypatch.setattr(metrics, "_CHUNK_VERTICES", 50)
+    assert_kernel_matches_both_routes([preset("collatz", n) for n in range(1, 81)])
+    families = [MapFamily((Affine(2, 0),), ZnNonzero(n)) for n in range(2, 81)]
+    assert_kernel_matches_both_routes(families)
+    empty = (np.zeros(0, dtype=np.int64),)
+    graphs = [image_tables(f) for f in families[45:60]]
+    mixed = [g for pair in zip(graphs, [empty] * len(graphs)) for g in pair]
+    want = [metrics.components(build_graph(f))[0] for f in families[45:60]]
+    assert metrics.component_counts(mixed).tolist() == [
+        c for pair in zip(want, [0] * len(want)) for c in pair
+    ]
+
+
+def test_component_counts_at_the_real_chunk_size():
+    chunk = metrics._CHUNK_VERTICES
+    families = [
+        MapFamily((PowerPlus(2, 0),), Zn(chunk - 5)),
+        MapFamily((PowerPlus(2, 0),), Zn(11)),  # straddles the first block
+        MapFamily((Affine(2, 0),), ZnNonzero(chunk + 1)),  # exactly a chunk
+        MapFamily((PowerPlus(3, 0),), ZnNonzero(chunk + 1001)),
+        MapFamily((Affine(2, 0),), Zn(12)),
+    ]
+    got = metrics.component_counts(image_tables(f) for f in families)
+    assert got.tolist() == [metrics.components(build_graph(f))[0] for f in families]
+
+
+def test_component_counts_need_one_map_count_per_sweep():
+    one = image_tables(MapFamily((Affine(2, 0),), Zn(8)))
+    two = image_tables(preset("collatz", 8))
+    for graphs in ([one, two], [two, one]):
+        with pytest.raises(ValueError, match="same number of maps"):
+            metrics.component_counts(graphs)
+
+
+def test_component_counts_do_not_depend_on_block_order():
+    families = [MapFamily((PowerPlus(2, 0),), Zn(n)) for n in range(1, 200)]
+    families += [MapFamily((Affine(2, 0),), ZnNonzero(n)) for n in range(2, 200)]
+    tables = [image_tables(f) for f in families]
+    base = metrics.component_counts(tables)
+    order = np.random.default_rng(7).permutation(len(tables))
+    shuffled = metrics.component_counts([tables[i] for i in order])
+    assert shuffled.tolist() == base[order].tolist()
+    reverse = metrics.component_counts(tables[::-1])
+    assert reverse.tolist() == base[::-1].tolist()
+
+
+@pytest.mark.parametrize("width", [3, 4, 5])
+def test_ca_pairs_match_per_pair_route(width):
+    counts = np.array(survey.ca_mandelbrot(width).component_counts).reshape(256, 256)
+    rng = np.random.default_rng(width)
+    pairs = rng.integers(0, 256, size=(300, 2)).tolist() + [[0, 255], [255, 255]]
+    for a, b in pairs:
+        family = MapFamily((CARule(a), CARule(b)), BitVec(width))
+        assert counts[a, b] == metrics.components(build_graph(family))[0], (a, b)
