@@ -1,9 +1,15 @@
 """Graph statistics: components, diameter, characteristic path length,
 clustering, triangles, Euler characteristic, degrees.
 
-Path statistics are computed over the largest component.  All-pairs BFS is
-exact up to 2^16 vertices; above that a seeded sample of 2048 sources is
-used and the sample size is recorded in the report.
+Path statistics are computed over the largest component by a bit-parallel
+BFS: 512 sources per pass, one bit each in 8 uint64 words per vertex, so a
+pass holds O(V * 8) words (a k-map family has at most k*V edges).  The scan
+is exact, all sources, up to 2^16 vertices; above that a seeded sample of
+2048 sources is used and the sample size is recorded in the report.
+
+Triangles come from one pass over the wedges of the degree-ordered edge
+orientation, in bounded chunks, which sees each triangle once; the 4-clique
+test extends those triangles.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
-from scipy.sparse.csgraph import dijkstra as _bfs
 
 from . import rng
 from .graphs import SimpleGraph
@@ -26,6 +31,10 @@ SAMPLE_SOURCES = 2048
 # scipy's per-call cost is shared by many small graphs, small enough that a
 # sweep's working set stays a few MB
 _CHUNK_VERTICES = 1 << 16
+# sources per bit-parallel BFS pass: 8 uint64 words per vertex
+_BFS_SOURCES = 512
+# wedges per chunk of the triangle and 4-clique kernels
+_WEDGE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,23 +163,43 @@ def _distance_scan(
         pick = rng.shuffled_range(m, seed)[:SAMPLE_SOURCES]
         sources = member[np.sort(np.array(pick))]
         sampled = len(sources)
-    sparse = _as_sparse(g)
-    in_component = np.zeros(g.vertex_count, dtype=bool)
-    in_component[member] = True
     diameter = 0
     total = 0
-    pairs = 0
-    block = 512
-    for start in range(0, len(sources), block):
-        batch = sources[start : start + block]
-        dist = _bfs(sparse, indices=batch, unweighted=True, directed=False)
-        dist = np.atleast_2d(dist)[:, in_component]
-        idist = dist.astype(np.int64)  # finite inside the component
-        diameter = max(diameter, int(idist.max()))
-        total += int(idist.sum())
-        pairs += idist.shape[0] * (m - 1)
-    mu = total / pairs
+    for start in range(0, len(sources), _BFS_SOURCES):
+        ecc, dist_sum = _bfs_pass(g, sources[start : start + _BFS_SOURCES])
+        diameter = max(diameter, ecc)
+        total += dist_sum
+    mu = total / (len(sources) * (m - 1))
     return diameter, mu, sampled
+
+
+def _bfs_pass(g: SimpleGraph, sources: np.ndarray) -> tuple[int, int]:
+    """(largest eccentricity, sum of distances) over distinct sources, all in
+    one component, as one bit-parallel BFS.
+
+    Source i owns bit i % 64 of word i // 64 in every vertex's row, so a
+    level is one OR-reduce of the frontier rows over each CSR neighbour list.
+    """
+    words = -(-len(sources) // 64)
+    frontier = np.zeros((g.vertex_count, words), dtype=np.uint64)
+    slot = np.arange(len(sources))
+    frontier[sources, slot // 64] = np.uint64(1) << (slot % 64).astype(np.uint64)
+    seen = frontier.copy()
+    # reduceat over an empty segment yields the element there, not 0
+    has_nbrs = np.diff(g.indptr) > 0
+    starts = g.indptr[:-1][has_nbrs]
+    level = total = 0
+    while True:
+        reached = np.zeros_like(frontier)
+        reached[has_nbrs] = np.bitwise_or.reduceat(frontier[g.indices], starts, axis=0)
+        reached &= ~seen
+        count = int(np.bitwise_count(reached).sum(dtype=np.int64))
+        if count == 0:
+            return level, total
+        level += 1
+        total += level * count
+        seen |= reached
+        frontier = reached
 
 
 def diameter(g: SimpleGraph) -> int:
@@ -184,14 +213,60 @@ def mean_path_length(g: SimpleGraph) -> float | None:
     return _distance_scan(g)[1]
 
 
+def _orient(g: SimpleGraph):
+    """Canonical edges (us, vs), their sorted keys u*V+v, and the same edges
+    pointed from lower to higher (degree, index) rank and grouped by tail:
+    the out-edges of x sit at positions ptr[x]:ptr[x+1], with heads head and
+    canonical edge ids eid.  No vertex has more than sqrt(2E) out-edges."""
+    us, vs = g.edge_arrays()
+    keys = us * g.vertex_count + vs
+    deg = g.degrees()
+    up = deg[us] <= deg[vs]  # us < vs breaks degree ties
+    tail = np.where(up, us, vs)
+    eid = np.argsort(tail, kind="stable")
+    head = np.where(up, vs, us)[eid]
+    ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=g.vertex_count), out=ptr[1:])
+    return us, vs, keys, ptr, head, eid
+
+
+def _segment_pairs(counts: np.ndarray):
+    """Every pair (item, j) with j < counts[item], as two index arrays in
+    chunks of at most _WEDGE_CHUNK pairs."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, _WEDGE_CHUNK):
+        flat = np.arange(start, min(start + _WEDGE_CHUNK, total))
+        item = np.searchsorted(ends, flat, side="right")
+        yield item, flat - (ends[item] - counts[item])
+
+
+def _find_edges(keys: np.ndarray, n: int, a: np.ndarray, b: np.ndarray):
+    """(position in keys, found) of each vertex pair (a, b)."""
+    query = np.minimum(a, b) * n + np.maximum(a, b)
+    pos = np.searchsorted(keys, query)
+    found = keys[np.minimum(pos, len(keys) - 1)] == query
+    return pos, found
+
+
+def _triangles(n: int, keys: np.ndarray, ptr: np.ndarray, head: np.ndarray):
+    """Each triangle once, in chunks of at most _WEDGE_CHUNK wedges, as the
+    out-positions a < b of its lowest-rank vertex and the position in keys of
+    its closing edge head[a]-head[b]."""
+    ends = np.repeat(ptr[1:], np.diff(ptr))
+    later = ends - 1 - np.arange(len(head))  # out-edges after each position
+    for k, j in _segment_pairs(later):
+        partner = k + 1 + j
+        pos, found = _find_edges(keys, n, head[k], head[partner])
+        yield k[found], partner[found], pos[found]
+
+
 def _edge_triangle_counts(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-edge common-neighbor counts for canonical edges (u, v)."""
-    us, vs = g.edge_arrays()
-    common = np.empty(len(us), dtype=np.int64)
-    for i in range(len(us)):
-        common[i] = np.intersect1d(
-            g.neighbor_array(us[i]), g.neighbor_array(vs[i]), assume_unique=True
-        ).size
+    us, vs, keys, ptr, head, eid = _orient(g)
+    common = np.zeros(len(us), dtype=np.int64)
+    for a, b, closing in _triangles(g.vertex_count, keys, ptr, head):
+        np.add.at(common, np.concatenate([eid[a], eid[b], closing]), 1)
     return us, vs, common
 
 
@@ -244,14 +319,21 @@ def euler_characteristic(g: SimpleGraph) -> int:
 
 def k4_free(g: SimpleGraph) -> bool:
     """True iff the graph has no 4-clique."""
-    adj = [set(g.neighbor_array(v).tolist()) for v in range(g.vertex_count)]
-    us, vs, _ = _edge_triangle_counts(g)
-    for u, v in zip(us, vs):
-        shared = sorted(adj[u] & adj[v])
-        for i, w in enumerate(shared):
-            for x in shared[i + 1 :]:
-                if x in adj[w]:
-                    return False
+    n = g.vertex_count
+    _, _, keys, ptr, head, _ = _orient(g)
+    out_degree = np.diff(ptr)
+    tail = np.repeat(np.arange(n), out_degree)
+    # a 4-clique's lowest-rank vertex x has the other three as out-neighbours,
+    # so it shows as a triangle x, y, z found at x plus an out-neighbour of x
+    # adjacent to y and z
+    for a, b, _ in _triangles(n, keys, ptr, head):
+        x, y, z = tail[a], head[a], head[b]
+        for t, j in _segment_pairs(out_degree[x]):
+            d = head[ptr[x[t]] + j]
+            _, with_y = _find_edges(keys, n, d, y[t])
+            _, with_z = _find_edges(keys, n, d, z[t])
+            if (with_y & with_z).any():
+                return False
     return True
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ringgraphs import maps, spaces
@@ -87,6 +88,29 @@ def brute_triangles(g: SimpleGraph) -> int:
         if v in adj[u] and w in adj[u] and w in adj[v]:
             count += 1
     return count
+
+
+def loop_edge_triangle_counts(g: SimpleGraph) -> np.ndarray:
+    """Common-neighbour count of each canonical edge, one intersect1d per
+    edge: the reference for the vectorised wedge kernel."""
+    us, vs = g.edge_arrays()
+    common = np.empty(len(us), dtype=np.int64)
+    for i in range(len(us)):
+        common[i] = np.intersect1d(
+            g.neighbor_array(us[i]), g.neighbor_array(vs[i]), assume_unique=True
+        ).size
+    return common
+
+
+def brute_has_k4(g: SimpleGraph) -> bool:
+    """Some vertex u with three pairwise adjacent higher neighbours."""
+    adj = [set(g.neighbor_array(v).tolist()) for v in range(g.vertex_count)]
+    for u in range(g.vertex_count):
+        higher = sorted(x for x in adj[u] if x > u)
+        for v, w, x in combinations(higher, 3):
+            if w in adj[v] and x in adj[v] and x in adj[w]:
+                return True
+    return False
 
 
 def bfs_distances(g: SimpleGraph, source: int) -> dict[int, int]:

@@ -1,12 +1,26 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from ringgraphs import metrics, survey
+from ringgraphs import metrics, rng, survey
 from ringgraphs.graphs import build_graph, graph_from_edges, image_tables
-from ringgraphs.maps import Affine, CARule, MapFamily, MatQuad, PowerPlus, preset
+from ringgraphs.maps import (
+    Affine,
+    CARule,
+    MapFamily,
+    MatQuad,
+    PowerPlus,
+    family_from_texts,
+    preset,
+)
 from ringgraphs.spaces import (
     BitVec,
     Mat2,
@@ -15,10 +29,16 @@ from ringgraphs.spaces import (
     ZnFromTwo,
     ZnNonzero,
     ZnUnits,
+    parse_space,
 )
 from ringgraphs.unionfind import UnionFind
 
-from conftest import bfs_distances, brute_triangles
+from conftest import (
+    bfs_distances,
+    brute_has_k4,
+    brute_triangles,
+    loop_edge_triangle_counts,
+)
 
 
 def path3():
@@ -210,6 +230,207 @@ def test_sampled_distance_scan(monkeypatch):
     assert again.mu == sampled.mu and again.diameter == sampled.diameter
     other = metrics.full_report(g, sample_seed=6)
     assert other.sampled_sources == 48
+
+
+# -- bit-parallel distance kernel against scipy's dijkstra ---------------------
+
+
+def dijkstra_scan(g, sources):
+    """(largest eccentricity, mu) of the given sources over the largest
+    component, from scipy's dijkstra."""
+    mat = csr_matrix(
+        (np.ones(len(g.indices)), g.indices, g.indptr),
+        shape=(g.vertex_count, g.vertex_count),
+    )
+    _, labels = metrics.components(g)
+    member = np.nonzero(labels == np.argmax(np.bincount(labels)))[0]
+    dist = dijkstra(mat, indices=sources, unweighted=True, directed=False)
+    dist = np.atleast_2d(dist)[:, member].astype(np.int64)
+    return int(dist.max()), int(dist.sum()) / (len(sources) * (len(member) - 1))
+
+
+def scattered_graph(size: int, seed: int):
+    """A random connected graph on `size` vertices, a smaller path beside it
+    and isolated vertices, with every vertex id shuffled."""
+    r = np.random.default_rng(seed)
+    us = list(range(1, size)) + r.integers(0, size, size // 2).tolist()
+    vs = [int(r.integers(0, v)) for v in range(1, size)]  # a random tree
+    vs += r.integers(0, size, size // 2).tolist()
+    second = size // 2
+    us += range(size, size + second - 1)
+    vs += range(size + 1, size + second)
+    n = size + second + 5
+    perm = r.permutation(n)
+    return graph_from_edges(n, perm[us], perm[vs])
+
+
+def test_distance_kernel_skips_isolated_vertices():
+    # isolated 0, 3 and 7 around the path 1-2-4-5-6
+    g = graph_from_edges(8, [1, 2, 4, 5], [2, 4, 5, 6])
+    assert metrics._distance_scan(g) == (4, 2.0, None)
+    assert metrics._distance_scan(g)[:2] == dijkstra_scan(g, [1, 2, 4, 5, 6])
+
+
+@pytest.mark.parametrize("size", [2, 63, 64, 65, 511, 512, 513, 1000])
+def test_distance_kernel_matches_dijkstra_on_every_source(size):
+    g = scattered_graph(size, seed=size)
+    count, labels = metrics.components(g)
+    assert count > 1 and np.bincount(labels).max() == size < g.vertex_count
+    member = metrics._largest_component(g, labels)
+    diameter, mu, sampled = metrics._distance_scan(g, labels=labels)
+    assert sampled is None
+    assert (diameter, mu) == dijkstra_scan(g, member)
+
+
+@pytest.mark.parametrize("sources", [1, 63, 64, 65, 511, 512, 513, 1000])
+def test_sampled_distance_kernel_matches_dijkstra(monkeypatch, sources):
+    monkeypatch.setattr(metrics, "EXACT_BFS_LIMIT", 64)
+    monkeypatch.setattr(metrics, "SAMPLE_SOURCES", sources)
+    g = scattered_graph(1200, seed=sources)
+    member = metrics._largest_component(g)
+    pick = rng.shuffled_range(len(member), 3)[:sources]
+    seeded = member[np.sort(np.array(pick))]
+    diameter, mu, sampled = metrics._distance_scan(g, seed=3)
+    assert sampled == sources
+    assert (diameter, mu) == dijkstra_scan(g, seeded)
+
+
+# full_report of x^2+1,x^2+2 on zn:2^17, the same before and after the
+# bit-parallel distance kernel
+PINNED_2_17 = {
+    "vertices": 131072,
+    "edges": 262141,
+    "components": 1,
+    "diameter": 14,
+    "mu": 10.630735593834878,
+    "nu_local": 0.001966422934746184,
+    "nu_transitivity": 0.0002767427859606096,
+    "lambda": 1.705956638941025,
+    "triangles": 266,
+    "euler_char": -130803,
+    "mean_degree": 3.9999542236328125,
+    "sampled_sources": 2048,
+}
+
+
+def test_full_report_at_2_17_fits_in_one_gib():
+    # the sampled path on zn:2^17 under an address-space limit set on the
+    # child only; one 512 x V float64 distance block is 512 MiB on its own
+    code = (
+        "from ringgraphs import graphs, maps, metrics, spaces\n"
+        "space = spaces.parse_space('zn:131072')\n"
+        "g = graphs.build_graph(maps.family_from_texts(space, 'x^2+1,x^2+2'))\n"
+        "print(metrics.full_report(g).to_json(), end='')\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(metrics.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+
+    def limit_address_space():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        preexec_fn=limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == PINNED_2_17
+
+
+# -- wedge triangle and 4-clique kernels against loops ------------------------
+
+
+def complete_graph(n: int):
+    pairs = list(combinations(range(n), 2))
+    return graph_from_edges(n, [u for u, _ in pairs], [v for _, v in pairs])
+
+
+def wheel(rim: int):
+    """Hub 0 joined to every vertex of the cycle 1..rim."""
+    spokes = list(range(1, rim + 1))
+    return graph_from_edges(
+        rim + 1, [0] * rim + spokes, spokes + spokes[1:] + [1]
+    )
+
+
+def from_texts(space: str, texts: str):
+    return build_graph(family_from_texts(parse_space(space), texts))
+
+
+def triangle_cases():
+    yield from (build_graph(preset(name, n)) for name, n in (
+        ("collatz", 97), ("collatz", 13), ("fermat", 127), ("pierpont", 50),
+        ("dickson", 300), ("dickson+", 80),
+    ))
+    yield graph_from_edges(9, [0] * 8, range(1, 9))  # star
+    yield from (complete_graph(n) for n in (1, 2, 3, 4, 5, 12))
+    yield graph_from_edges(0, [], [])
+    yield graph_from_edges(6, [], [])  # no edges
+    yield from_texts("zn:10", "x+1")  # a cycle: edges, no triangles
+    yield graph_from_edges(7, [0, 0, 0, 1, 1, 1, 2, 2, 2], [3, 4, 5, 4, 5, 6, 3, 5, 6])
+    yield wheel(7)
+    yield from_texts("zn:50", "x+1,x+2,x+3")
+
+
+def assert_triangle_kernel_matches_loop(g):
+    us, vs, common = metrics._edge_triangle_counts(g)
+    want_us, want_vs = g.edge_arrays()
+    assert np.array_equal(us, want_us) and np.array_equal(vs, want_vs)
+    assert np.array_equal(common, loop_edge_triangle_counts(g))
+
+
+def test_triangle_kernel_matches_intersect_loop():
+    for g in triangle_cases():
+        assert_triangle_kernel_matches_loop(g)
+    assert_triangle_kernel_matches_loop(from_texts("zn:4000", "x^2+1,x^2+2"))
+
+
+def test_triangle_kernel_with_straddling_chunks(monkeypatch):
+    monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 3)
+    for g in triangle_cases():
+        assert_triangle_kernel_matches_loop(g)
+    monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 257)
+    assert_triangle_kernel_matches_loop(from_texts("zn:4000", "x^2+1,x^2+2"))
+
+
+def late_k4():
+    """The only 4-clique, 0-4-5-6, sits after 0's out-edges to 1, 2, 3: each
+    of 0..6 has degree 6 (leaves fill up the rest), so 0 ranks lowest."""
+    us, vs = [0] * 6 + [4, 4, 5], [1, 2, 3, 4, 5, 6, 5, 6, 6]
+    leaf = 7
+    for v, count in ((1, 5), (2, 5), (3, 5), (4, 3), (5, 3), (6, 3)):
+        us += [v] * count
+        vs += range(leaf, leaf + count)
+        leaf += count
+    return graph_from_edges(leaf, us, vs)
+
+
+def k4_cases():
+    yield from (complete_graph(n) for n in (3, 4, 5, 8))
+    yield late_k4()
+    yield from (wheel(rim) for rim in (3, 4, 5, 8))  # the 3-rim wheel is K4
+    for name in ("collatz", "fermat", "dickson"):
+        yield from (build_graph(preset(name, n)) for n in (13, 60, 97, 127, 257))
+    yield from_texts("zn:50", "x+1,x+2,x+3")  # every 4 consecutive residues
+    yield from_texts("zn:50", "x+1,x+2")  # triangles, no 4-clique
+    yield from_texts("zn:9", "2x,3x+1,x^2")
+    yield from_texts("zn:50", "2x,3x+1,x^2")
+    yield graph_from_edges(0, [], [])
+
+
+def test_k4_free_matches_brute_force(monkeypatch):
+    cases = list(k4_cases())
+    want = [not brute_has_k4(g) for g in cases]
+    assert True in want and False in want
+    assert [metrics.k4_free(g) for g in cases] == want
+    monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 2)
+    assert [metrics.k4_free(g) for g in cases] == want
 
 
 # -- batched component counts -----------------------------------------------
