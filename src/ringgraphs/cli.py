@@ -110,7 +110,8 @@ def cmd_gen(args) -> int:
         if path is not None and path.endswith(".dot"):
             labels = None
             if args.labels:
-                labels = [str(s.payload) for s in family.space.enumerate()]
+                space = family.space
+                labels = [str(space.index_to_payload(i)) for i in range(space.size)]
             body = export_dot(g, labels)
         else:
             body = export_edge_list(g)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .maps import MapFamily, image_table
 from .spaces import SIZE_CAP, StateSpace
@@ -57,24 +58,36 @@ class GraphSpec:
 
 def graph_from_edges(vertex_count: int, us, vs) -> SimpleGraph:
     """Canonicalize raw endpoint arrays (loops dropped, duplicates merged)
-    into a SimpleGraph."""
+    into a SimpleGraph.
+
+    One COO->CSR conversion of the pairs and their reverses: scipy places
+    the entries by a counting sort on the row, then sorts each row and
+    merges its duplicates, all in C."""
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
+    for ends in (us, vs):
+        if ends.size and not (ends.min() >= 0 and ends.max() < vertex_count):
+            bad = ends[(ends < 0) | (ends >= vertex_count)][0]
+            raise ValueError(f"endpoint {bad} outside [0, {vertex_count})")
     keep = us != vs
     us, vs = us[keep], vs[keep]
-    lo = np.minimum(us, vs)
-    hi = np.maximum(us, vs)
-    keys = np.unique(lo * vertex_count + hi)
-    eu = keys // vertex_count
-    ev = keys % vertex_count
-    both_src = np.concatenate([eu, ev])
-    both_dst = np.concatenate([ev, eu])
-    order = np.argsort(both_src * vertex_count + both_dst)
-    indices = both_dst[order]
-    counts = np.bincount(both_src, minlength=vertex_count)
-    indptr = np.zeros(vertex_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return SimpleGraph(vertex_count, indptr, indices, len(keys))
+    # the index dtype scipy picks for this shape; handing it int64 pairs
+    # would make it copy them down to int32 itself
+    index = np.int32 if vertex_count <= np.iinfo(np.int32).max else np.int64
+    rows = np.concatenate([us, vs], dtype=index, casting="same_kind")
+    cols = np.concatenate([vs, us], dtype=index, casting="same_kind")
+    del us, vs, keep  # free the int64 copies before scipy allocates
+    adjacency = csr_matrix(
+        (np.ones(len(rows), dtype=bool), (rows, cols)),
+        shape=(vertex_count, vertex_count),
+    )
+    adjacency.sum_duplicates()
+    return SimpleGraph(
+        vertex_count,
+        adjacency.indptr.astype(np.int64),
+        adjacency.indices.astype(np.int64),
+        adjacency.nnz // 2,
+    )
 
 
 def image_tables(family: MapFamily) -> list[np.ndarray]:
@@ -109,10 +122,44 @@ def neighbors(g: SimpleGraph, v: int) -> list[int]:
     return [int(x) for x in g.neighbor_array(v)]
 
 
+# edges per ASCII matrix in _edge_lines; bounds its memory at a few MB
+_EXPORT_CHUNK = 1 << 16
+
+
+def _edge_lines(
+    us: np.ndarray, vs: np.ndarray, before: str, between: str, after: str
+) -> str:
+    """before + u + between + v + after for each edge, concatenated.
+
+    Each chunk of edges becomes one (edges, width) uint8 matrix of ASCII
+    rows copied from a template line, with u and v written in as
+    fixed-width decimal digits whose leading zeros a mask drops when the
+    rows are joined."""
+    if len(us) == 0:
+        return ""
+    width = len(str(int(max(us.max(), vs.max()))))
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    lead = np.where(powers == 1, 0, powers)  # the units digit is always kept
+    pad = "0" * width
+    line = f"{before}{pad}{between}{pad}{after}"
+    template = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    u_cols = slice(len(before), len(before) + width)
+    v_cols = slice(u_cols.stop + len(between), u_cols.stop + len(between) + width)
+    out = []
+    for start in range(0, len(us), _EXPORT_CHUNK):
+        chunk = slice(start, start + _EXPORT_CHUNK)
+        rows = np.tile(template, (len(us[chunk]), 1))
+        keep = np.ones(rows.shape, dtype=bool)
+        for cols, ends in ((u_cols, us[chunk, None]), (v_cols, vs[chunk, None])):
+            rows[:, cols] = ends // powers % 10 + ord("0")
+            keep[:, cols] = ends >= lead
+        out.append(rows[keep].tobytes())
+    return b"".join(out).decode("ascii")
+
+
 def export_edge_list(g: SimpleGraph) -> str:
     """One line per edge "u v" with u < v, ascending; deterministic."""
-    us, vs = g.edge_arrays()
-    return "".join(f"{u} {v}\n" for u, v in zip(us, vs))
+    return _edge_lines(*g.edge_arrays(), "", " ", "\n")
 
 
 def export_dot(g: SimpleGraph, labels: list[str] | None = None) -> str:
@@ -124,8 +171,5 @@ def export_dot(g: SimpleGraph, labels: list[str] | None = None) -> str:
         for v, text in enumerate(labels):
             escaped = str(text).replace('"', '\\"')
             lines.append(f'  {v} [label="{escaped}"];')
-    us, vs = g.edge_arrays()
-    for u, v in zip(us, vs):
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = _edge_lines(*g.edge_arrays(), "  ", " -- ", ";\n")
+    return "\n".join(lines) + "\n" + edges + "}\n"

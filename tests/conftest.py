@@ -76,6 +76,48 @@ def brute_edges(family: maps.MapFamily) -> set[tuple[int, int]]:
     return edges
 
 
+def sorted_csr(vertex_count: int, us, vs):
+    """(indptr, indices, edge_count) by sorting the keys lo*V+hi twice: the
+    reference for graph_from_edges."""
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    keep = us != vs
+    us, vs = us[keep], vs[keep]
+    lo = np.minimum(us, vs)
+    hi = np.maximum(us, vs)
+    keys = np.unique(lo * vertex_count + hi)
+    eu = keys // vertex_count
+    ev = keys % vertex_count
+    both_src = np.concatenate([eu, ev])
+    both_dst = np.concatenate([ev, eu])
+    order = np.argsort(both_src * vertex_count + both_dst)
+    indices = both_dst[order]
+    counts = np.bincount(both_src, minlength=vertex_count)
+    indptr = np.zeros(vertex_count + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, indices, len(keys)
+
+
+def loop_edge_list(g: SimpleGraph) -> str:
+    """One f-string per edge: the reference for export_edge_list."""
+    us, vs = g.edge_arrays()
+    return "".join(f"{u} {v}\n" for u, v in zip(us, vs))
+
+
+def loop_dot(g: SimpleGraph, labels: list[str] | None = None) -> str:
+    """One f-string per label and per edge: the reference for export_dot."""
+    lines = ["graph G {"]
+    if labels is not None:
+        for v, text in enumerate(labels):
+            escaped = str(text).replace('"', '\\"')
+            lines.append(f'  {v} [label="{escaped}"];')
+    us, vs = g.edge_arrays()
+    for u, v in zip(us, vs):
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def graph_edges(g: SimpleGraph) -> set[tuple[int, int]]:
     us, vs = g.edge_arrays()
     return {(int(u), int(v)) for u, v in zip(us, vs)}

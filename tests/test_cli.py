@@ -3,6 +3,11 @@ import json
 import pytest
 
 from ringgraphs import cli
+from ringgraphs.graphs import build_graph
+from ringgraphs.maps import MapFamily, parse_maps
+from ringgraphs.spaces import parse_space
+
+from conftest import loop_dot
 
 
 def run(args):
@@ -38,6 +43,19 @@ def test_gen_edges_and_dot(tmp_path):
     assert dot_header["command"] == "gen"
     assert dot_body.startswith("graph G {")
     assert body.count("\n") == dot_body.count(" -- ")
+
+
+@pytest.mark.parametrize(
+    "space,maps",
+    [("zn:31", "2x,3x+1"), ("units:24", "x^2"), ("mat2:3", "matquad:1,2,2,4")],
+)
+def test_gen_dot_labels_are_state_payloads(tmp_path, space, maps):
+    dot = tmp_path / "g.dot"
+    assert run(["gen", "--space", space, "--maps", maps, "--labels", "--out", str(dot)]) == 0
+    _, body = split_header(read(dot), comment="//")
+    family = MapFamily(parse_maps(maps), parse_space(space))
+    labels = [str(s.payload) for s in family.space.enumerate()]
+    assert body == loop_dot(build_graph(family), labels)
 
 
 def test_gen_trivial_graph_is_empty(tmp_path):

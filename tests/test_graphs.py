@@ -13,7 +13,7 @@ from ringgraphs.graphs import (
 from ringgraphs.maps import Affine, MapFamily, PowerPlus, preset
 from ringgraphs.spaces import Zn
 
-from conftest import brute_edges, graph_edges
+from conftest import brute_edges, graph_edges, loop_dot, loop_edge_list, sorted_csr
 
 
 def test_doubling_on_z4():
@@ -135,3 +135,86 @@ def test_single_map_graphs_have_no_tetrahedron():
         assert metrics.k4_free(g)
     for fam in (preset("dickson", 300), MapFamily((Affine(3, 1),), Zn(500))):
         assert metrics.k4_free(build_graph(fam))
+
+
+def test_out_of_range_endpoints_rejected():
+    # a key u*V+v with v >= V used to decode as another edge: 0*3+5 -> (1, 2)
+    with pytest.raises(ValueError, match="endpoint 5 outside"):
+        graph_from_edges(3, [0], [5])
+    with pytest.raises(ValueError, match="endpoint -1 outside"):
+        graph_from_edges(3, [-1], [0])
+    with pytest.raises(ValueError, match="endpoint 3 outside"):
+        graph_from_edges(3, [0, 1, 3], [1, 2, 0])
+    with pytest.raises(ValueError, match="endpoint 0 outside"):
+        graph_from_edges(0, [0], [0])  # a loop is still an endpoint
+
+
+def assert_matches_sort_oracle(vertex_count, us, vs):
+    g = graph_from_edges(vertex_count, us, vs)
+    indptr, indices, edge_count = sorted_csr(vertex_count, us, vs)
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    assert g.edge_count == edge_count
+
+
+def family_pairs(family):
+    src = np.arange(family.space.size, dtype=np.int64)
+    tables = graphs.image_tables(family)
+    return (
+        family.space.size,
+        np.concatenate([src[t >= 0] for t in tables]),
+        np.concatenate([t[t >= 0] for t in tables]),
+    )
+
+
+def test_canonicalisation_matches_sort_oracle():
+    rng = np.random.default_rng(5)
+    for vertex_count, pairs in ((3, 20), (10, 100), (50, 30), (200, 5000), (1000, 3000)):
+        us = rng.integers(0, vertex_count, pairs)
+        vs = rng.integers(0, vertex_count, pairs)
+        vs[::7] = us[::7]  # loops
+        assert_matches_sort_oracle(
+            vertex_count, np.concatenate([us, vs[:9]]), np.concatenate([vs, us[:9]])
+        )
+    for vertex_count in (0, 1, 2, 7):
+        assert_matches_sort_oracle(vertex_count, [], [])
+    assert_matches_sort_oracle(1, [0, 0], [0, 0])  # loops only
+    assert_matches_sort_oracle(2, [0, 1, 1, 0], [1, 0, 1, 1])
+    for name, n in (("collatz", 97), ("fermat", 127), ("pierpont", 50),
+                    ("dickson", 300), ("dickson+", 80), ("polyring", 3)):
+        assert_matches_sort_oracle(*family_pairs(preset(name, n)))
+    # every edge of the 5-cycle 256 and 300 times: a per-pair count that
+    # wraps at 256 reads 0 or 44, and dropping zero counts loses edges
+    for times in (256, 300):
+        copies = MapFamily((Affine(1, 1),) * times, Zn(5))
+        assert_matches_sort_oracle(*family_pairs(copies))
+        assert graph_edges(build_graph(copies)) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+
+
+def export_cases():
+    # endpoints at every power-of-ten boundary up to 1000
+    yield graph_from_edges(
+        1001, [0, 9, 9, 99, 99, 999, 0, 10, 100], [9, 10, 99, 100, 999, 1000, 1000, 11, 101]
+    )
+    yield from (graph_from_edges(v, [], []) for v in (0, 1, 10, 11))
+    yield graph_from_edges(10, range(9), range(1, 10))
+    yield graph_from_edges(11, range(10), range(1, 11))
+    yield graph_from_edges(11, [0] * 10, range(1, 11))
+    yield build_graph(preset("collatz", 1000))
+    yield build_graph(MapFamily((Affine(1, 1), Affine(1, 37)), Zn(12345)))
+
+
+def assert_export_matches_loops(g):
+    assert export_edge_list(g) == loop_edge_list(g)
+    assert export_dot(g) == loop_dot(g)
+    labels = [f'"{v}" say "hi"' if v % 3 == 0 else str(v) for v in range(g.vertex_count)]
+    assert export_dot(g, labels) == loop_dot(g, labels)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_export_matches_fstring_loops(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(graphs, "_EXPORT_CHUNK", chunk)
+    for g in export_cases():
+        assert_export_matches_loops(g)
