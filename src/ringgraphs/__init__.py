@@ -38,7 +38,6 @@ from .maps import (
     parse_map,
     parse_maps,
     preset,
-    random_permutation,
 )
 from .graphs import (
     GraphSpec,
@@ -52,14 +51,12 @@ from .metrics import (
     StatsReport,
     clustering,
     components,
-    diameter,
     degree_stats,
     euler_characteristic,
     full_report,
     is_connected,
     k4_free,
     lambda_coefficient,
-    mean_path_length,
     triangle_count,
 )
 from .verify import Verdict, run_claim

@@ -110,8 +110,7 @@ def cmd_gen(args) -> int:
         if path is not None and path.endswith(".dot"):
             labels = None
             if args.labels:
-                space = family.space
-                labels = [str(space.index_to_payload(i)) for i in range(space.size)]
+                labels = [str(p) for p in family.space.payloads()]
             body = export_dot(g, labels)
         else:
             body = export_edge_list(g)

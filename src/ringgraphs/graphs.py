@@ -2,7 +2,9 @@
 
 Distinct states x, y are joined iff some map sends one to the other.
 Self-loops are dropped and parallel images deduplicated, so the result is a
-plain undirected simple graph in compressed sorted-adjacency form.
+plain undirected simple graph in compressed sorted-adjacency form.  The
+image tables become one int32 neighbour table, k entries per state, which
+is also what the sweep kernel metrics.component_counts starts from.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .spaces import SIZE_CAP, StateSpace
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph; indptr/indices form a CSR adjacency whose
-    neighbor lists are sorted."""
+    """Undirected simple graph; indptr/indices are int32 arrays forming a
+    CSR adjacency whose neighbor lists are sorted (V <= SIZE_CAP < 2^31)."""
 
     vertex_count: int
     indptr: np.ndarray = field(repr=False)
@@ -33,8 +35,9 @@ class SimpleGraph:
         return np.diff(self.indptr)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical edges (u, v) with u < v, sorted ascending."""
-        src = np.repeat(np.arange(self.vertex_count, dtype=np.int64), self.degrees())
+        """Canonical edges (u, v) with u < v, sorted ascending, as two int32
+        arrays; a key u*V+v needs an int64 product."""
+        src = np.repeat(np.arange(self.vertex_count, dtype=np.int32), self.degrees())
         mask = src < self.indices
         return src[mask], self.indices[mask]
 
@@ -60,39 +63,46 @@ def graph_from_edges(vertex_count: int, us, vs) -> SimpleGraph:
     """Canonicalize raw endpoint arrays (loops dropped, duplicates merged)
     into a SimpleGraph.
 
-    One COO->CSR conversion of the pairs and their reverses: scipy places
-    the entries by a counting sort on the row, then sorts each row and
-    merges its duplicates, all in C."""
+    The pairs become one boolean CSR matrix, a loop stored as False, which
+    goes through the same symmetrise-and-sort step as build_graph."""
+    if vertex_count > SIZE_CAP:
+        raise ValueError(f"{vertex_count} vertices above the {SIZE_CAP}-state cap")
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     for ends in (us, vs):
         if ends.size and not (ends.min() >= 0 and ends.max() < vertex_count):
             bad = ends[(ends < 0) | (ends >= vertex_count)][0]
             raise ValueError(f"endpoint {bad} outside [0, {vertex_count})")
-    keep = us != vs
-    us, vs = us[keep], vs[keep]
-    # the index dtype scipy picks for this shape; handing it int64 pairs
-    # would make it copy them down to int32 itself
-    index = np.int32 if vertex_count <= np.iinfo(np.int32).max else np.int64
-    rows = np.concatenate([us, vs], dtype=index, casting="same_kind")
-    cols = np.concatenate([vs, us], dtype=index, casting="same_kind")
-    del us, vs, keep  # free the int64 copies before scipy allocates
-    adjacency = csr_matrix(
-        (np.ones(len(rows), dtype=bool), (rows, cols)),
-        shape=(vertex_count, vertex_count),
-    )
-    adjacency.sum_duplicates()
-    return SimpleGraph(
-        vertex_count,
-        adjacency.indptr.astype(np.int64),
-        adjacency.indices.astype(np.int64),
-        adjacency.nnz // 2,
-    )
+    shape = (vertex_count, vertex_count)
+    return _simple_graph(csr_matrix((us != vs, (us, vs)), shape=shape))
+
+
+def _simple_graph(adjacency: csr_matrix) -> SimpleGraph:
+    """The simple graph of a boolean adjacency matrix whose loops, if any,
+    are stored as False.
+
+    adjacency + adjacency.T ORs every entry with its reverse, merges
+    duplicates and keeps only the True results, so loops drop out; then
+    each row is sorted in place."""
+    both = adjacency + adjacency.T
+    both.sort_indices()
+    return SimpleGraph(adjacency.shape[0], both.indptr, both.indices, both.nnz // 2)
 
 
 def image_tables(family: MapFamily) -> list[np.ndarray]:
     """One image table per map of the family, -1 where there is no image."""
     return [image_table(m, family.space) for m in family.maps]
+
+
+def neighbour_table(tables: list[np.ndarray], offset=0) -> np.ndarray:
+    """The (V, k) int32 table of k image tables over V states: column j
+    holds map j's images plus offset, and a missing image (-1) becomes the
+    row's own vertex, a self-loop, so every vertex has exactly k entries."""
+    table = np.empty((len(tables[0]), len(tables)), dtype=np.int32)
+    vertex = np.arange(len(table), dtype=np.int32)
+    for j, img in enumerate(tables):
+        table[:, j] = np.where(img >= 0, img + offset, vertex)
+    return table
 
 
 def build_graph(spec: GraphSpec | MapFamily) -> SimpleGraph:
@@ -102,17 +112,12 @@ def build_graph(spec: GraphSpec | MapFamily) -> SimpleGraph:
     space = family.space
     if space.size > SIZE_CAP:
         raise ValueError(f"space {space.spec()} above the {SIZE_CAP}-state cap")
-    src = np.arange(space.size, dtype=np.int64)
-    sources = []
-    targets = []
-    for m in family.maps:
-        img = image_table(m, space)
-        ok = img >= 0
-        sources.append(src[ok])
-        targets.append(img[ok])
-    return graph_from_edges(
-        space.size, np.concatenate(sources), np.concatenate(targets)
-    )
+    table = neighbour_table(image_tables(family))
+    # loops, missing images included, enter as False and drop out of a + a.T
+    moves = table != np.arange(space.size, dtype=np.int32)[:, None]
+    indptr = np.arange(0, table.size + 1, len(family.maps))
+    shape = (space.size, space.size)
+    return _simple_graph(csr_matrix((moves.ravel(), table.ravel(), indptr), shape=shape))
 
 
 def neighbors(g: SimpleGraph, v: int) -> list[int]:

@@ -572,15 +572,6 @@ def apply(expr: MapExpr, state: State) -> State | None:
     raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
 
 
-def random_permutation(n: int, seed: int) -> Perm:
-    """A seeded uniformly shuffled permutation map of {0..n-1}; the same seed
-    gives the same permutation on every platform."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng.permutation_vector(n, seed)  # materialize and cache the table
-    return Perm(seed)
-
-
 # ---------------------------------------------------------------------------
 # named presets
 

@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from . import rng
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, neighbour_table
 
 EXACT_BFS_LIMIT = 1 << 16
 SAMPLE_SOURCES = 2048
@@ -93,10 +93,11 @@ def component_counts(graphs) -> np.ndarray:
     A graph is given as its image tables, one array per map with -1 where a
     state has no image, and every graph of a sweep has the same number of
     maps.  The graphs are stacked into block-diagonal matrices of about
-    _CHUNK_VERTICES vertices, one scipy call per matrix.  Nothing is
-    canonicalised: a missing image becomes a self-loop and parallel images
-    stay, neither of which changes a component count, so every vertex has
-    one entry per map and the stacked CSR needs no sort.
+    _CHUNK_VERTICES vertices, one scipy call per matrix.  Each matrix is the
+    regular CSR of graphs.neighbour_table, the table build_graph starts from,
+    without its canonicalisation: a missing image becomes a self-loop and
+    parallel images stay, neither of which changes a component count, so
+    every vertex has one entry per map and the stacked CSR needs no sort.
     """
     counts = []
     chunk, total = [], 0
@@ -121,14 +122,12 @@ def _block_counts(chunk: list) -> np.ndarray:
     maps = len(chunk[0])
     block = np.repeat(np.arange(len(chunk)), sizes)
     offset = (np.cumsum(sizes) - sizes)[block]
-    vertex = np.arange(total, dtype=np.int64)
-    cols = np.empty((total, maps), dtype=np.int32)
-    for k in range(maps):
-        img = np.concatenate([tables[k] for tables in chunk])
-        cols[:, k] = np.where(img >= 0, img + offset, vertex)
-    indptr = np.arange(0, maps * total + 1, maps)  # scipy keeps int32 if it fits
-    data = np.ones(maps * total)  # float64, which scipy would otherwise sort to cast
-    mat = csr_matrix((data, cols.ravel(), indptr), shape=(total, total))
+    table = neighbour_table(
+        [np.concatenate([tables[k] for tables in chunk]) for k in range(maps)], offset
+    )
+    indptr = np.arange(0, table.size + 1, maps)  # scipy keeps int32 if it fits
+    data = np.ones(table.size)  # float64, which scipy would otherwise sort to cast
+    mat = csr_matrix((data, table.ravel(), indptr), shape=(total, total))
     count, labels = _scipy_components(mat, directed=False)
     owner = np.empty(count, dtype=np.int64)
     owner[labels] = block  # no component spans two blocks
@@ -202,24 +201,14 @@ def _bfs_pass(g: SimpleGraph, sources: np.ndarray) -> tuple[int, int]:
         frontier = reached
 
 
-def diameter(g: SimpleGraph) -> int:
-    """Maximum eccentricity over the largest component."""
-    return _distance_scan(g)[0]
-
-
-def mean_path_length(g: SimpleGraph) -> float | None:
-    """Mean distance over distinct vertex pairs of the largest component;
-    None when that component is a single vertex."""
-    return _distance_scan(g)[1]
-
-
 def _orient(g: SimpleGraph):
-    """Canonical edges (us, vs), their sorted keys u*V+v, and the same edges
-    pointed from lower to higher (degree, index) rank and grouped by tail:
-    the out-edges of x sit at positions ptr[x]:ptr[x+1], with heads head and
-    canonical edge ids eid.  No vertex has more than sqrt(2E) out-edges."""
+    """Canonical edges (us, vs), their sorted int64 keys u*V+v, and the same
+    edges pointed from lower to higher (degree, index) rank and grouped by
+    tail: the out-edges of x sit at positions ptr[x]:ptr[x+1], with heads
+    head and canonical edge ids eid.  No vertex has more than sqrt(2E)
+    out-edges."""
     us, vs = g.edge_arrays()
-    keys = us * g.vertex_count + vs
+    keys = np.multiply(us, g.vertex_count, dtype=np.int64) + vs
     deg = g.degrees()
     up = deg[us] <= deg[vs]  # us < vs breaks degree ties
     tail = np.where(up, us, vs)
@@ -243,7 +232,7 @@ def _segment_pairs(counts: np.ndarray):
 
 def _find_edges(keys: np.ndarray, n: int, a: np.ndarray, b: np.ndarray):
     """(position in keys, found) of each vertex pair (a, b)."""
-    query = np.minimum(a, b) * n + np.maximum(a, b)
+    query = np.multiply(np.minimum(a, b), n, dtype=np.int64) + np.maximum(a, b)
     pos = np.searchsorted(keys, query)
     found = keys[np.minimum(pos, len(keys) - 1)] == query
     return pos, found

@@ -7,6 +7,7 @@ only; everything else is a pure function.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, log
@@ -289,7 +290,8 @@ class SmoothSet:
     members: tuple[int, ...]
 
     def __contains__(self, n: int) -> bool:
-        return n in set(self.members)
+        i = bisect_left(self.members, n)
+        return i < len(self.members) and self.members[i] == n
 
 
 def smooth_set(primes: set[int] | frozenset[int], limit: int) -> SmoothSet:

@@ -53,6 +53,10 @@ class StateSpace:
         for i in range(self.size):
             yield State(self, self.index_to_payload(i))
 
+    def payloads(self) -> list:
+        """Every payload in index order."""
+        return [self.index_to_payload(i) for i in range(self.size)]
+
     def spec(self) -> str:
         raise NotImplementedError
 
@@ -85,6 +89,9 @@ class ResidueSpace(StateSpace):
 
     def index_to_payload(self, index: int) -> int:
         return int(self.residues()[index])
+
+    def payloads(self) -> list[int]:
+        return self.residues().tolist()  # one pass, not one residues() per index
 
 
 @dataclass(frozen=True)
@@ -358,22 +365,6 @@ class BitVec(StateSpace):
 
     def spec(self) -> str:
         return f"bits:{self.width}"
-
-
-def size(space: StateSpace) -> int:
-    return space.size
-
-
-def index_of(state: State) -> int:
-    return state.space.index_of(state)
-
-
-def state_at(space: StateSpace, index: int) -> State:
-    return space.state_at(index)
-
-
-def enumerate_states(space: StateSpace) -> Iterator[State]:
-    return space.enumerate()
 
 
 def parse_space(text: str) -> StateSpace:

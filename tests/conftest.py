@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ringgraphs import maps, spaces
+from ringgraphs import maps
 from ringgraphs.graphs import SimpleGraph
 
 
@@ -65,12 +65,12 @@ def brute_edges(family: maps.MapFamily) -> set[tuple[int, int]]:
     """Edge set via single-state application over the full enumeration."""
     edges = set()
     for s in family.space.enumerate():
-        i = spaces.index_of(s)
+        i = family.space.index_of(s)
         for m in family.maps:
             t = maps.apply(m, s)
             if t is None:
                 continue
-            j = spaces.index_of(t)
+            j = family.space.index_of(t)
             if i != j:
                 edges.add((min(i, j), max(i, j)))
     return edges

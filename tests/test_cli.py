@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 
 from ringgraphs import cli
 from ringgraphs.graphs import build_graph
 from ringgraphs.maps import MapFamily, parse_maps
-from ringgraphs.spaces import parse_space
+from ringgraphs.spaces import Zn, parse_space
 
 from conftest import loop_dot
 
@@ -56,6 +57,21 @@ def test_gen_dot_labels_are_state_payloads(tmp_path, space, maps):
     family = MapFamily(parse_maps(maps), parse_space(space))
     labels = [str(s.payload) for s in family.space.enumerate()]
     assert body == loop_dot(build_graph(family), labels)
+
+
+def test_gen_labels_read_residues_once(tmp_path, monkeypatch):
+    # a perm map builds its table without residues(), so every call counted
+    # here comes from the labels
+    calls = []
+    residues = Zn.residues
+    monkeypatch.setattr(Zn, "residues", lambda self: calls.append(1) or residues(self))
+    dot = tmp_path / "g.dot"
+    args = ["gen", "--space", "zn:65536", "--maps", "perm:1", "--labels", "--out", str(dot)]
+    assert run(args) == 0
+    assert len(calls) <= 1
+    _, body = split_header(read(dot), comment="//")
+    labels = re.findall(r'^  \d+ \[label="(.*)"\];$', body, flags=re.M)
+    assert labels == [str(s.payload) for s in Zn(1 << 16).enumerate()]
 
 
 def test_gen_trivial_graph_is_empty(tmp_path):

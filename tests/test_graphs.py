@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,10 +151,11 @@ def test_out_of_range_endpoints_rejected():
         graph_from_edges(0, [0], [0])  # a loop is still an endpoint
 
 
-def assert_matches_sort_oracle(vertex_count, us, vs):
-    g = graph_from_edges(vertex_count, us, vs)
+def assert_matches_sort_oracle(vertex_count, us, vs, g=None):
+    if g is None:
+        g = graph_from_edges(vertex_count, us, vs)
     indptr, indices, edge_count = sorted_csr(vertex_count, us, vs)
-    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert g.indptr.dtype == np.int32 and g.indices.dtype == np.int32
     assert np.array_equal(g.indptr, indptr)
     assert np.array_equal(g.indices, indices)
     assert g.edge_count == edge_count
@@ -218,3 +221,49 @@ def test_export_matches_fstring_loops(monkeypatch, chunk):
         monkeypatch.setattr(graphs, "_EXPORT_CHUNK", chunk)
     for g in export_cases():
         assert_export_matches_loops(g)
+
+
+@pytest.mark.parametrize(
+    "family, escapes",
+    [
+        (MapFamily((Affine(2, 0), PowerPlus(2, 0)), spaces.ZnNonzero(16)), True),
+        (MapFamily((PowerPlus(2, 0), Affine(1, 1)), spaces.ZnFromTwo(15)), True),
+        (MapFamily((Affine(1, 1),), spaces.ZnUnits(15)), True),
+        (MapFamily((PowerPlus(2, 0), Affine(3, 2)), spaces.ZnUnits(77)), False),
+        (MapFamily((maps.MatQuad((1, 2, 2, 4)), PowerPlus(3, 1)), spaces.Mat2(3)), False),
+        (MapFamily((PowerPlus(2, 0), PowerPlus(2, 1)), spaces.UpperTri2(4)), False),
+        (preset("polyring", 3, k=4), False),
+        (MapFamily((maps.CARule(30), maps.CARule(90)), spaces.BitVec(7)), False),
+        (MapFamily((maps.Perm(3), maps.Perm(8)), Zn(26)), False),
+        (MapFamily((Affine(1, 0),), Zn(7)), False),  # all loops
+        (MapFamily((Affine(2, 3), Affine(1, 0)), Zn(1)), False),  # V = 1
+        (MapFamily((Affine(1, 1),) * 256, Zn(5)), False),
+        (preset("collatz", 1000), False),
+    ],
+)
+def test_build_graph_matches_edge_route(family, escapes):
+    # the regular-table route of build_graph against graph_from_edges on the
+    # same pairs and against the sorting oracle
+    if escapes:
+        assert any((t < 0).any() for t in graphs.image_tables(family))
+    pairs = family_pairs(family)
+    assert_matches_sort_oracle(*pairs)
+    assert_matches_sort_oracle(*pairs, g=build_graph(family))
+
+
+def test_components_hand_scipy_the_graph_arrays():
+    g = build_graph(preset("collatz", 1000))
+    mat = metrics._as_sparse(g)
+    assert np.shares_memory(mat.indices, g.indices)
+    assert np.shares_memory(mat.indptr, g.indptr)
+
+
+def test_vertex_count_above_cap_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the"):
+            graph_from_edges(spaces.SIZE_CAP + 1, [], [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # an indptr for 2^25 vertices would be 128 MB

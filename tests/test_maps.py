@@ -24,7 +24,6 @@ from ringgraphs.maps import (
     parse_map,
     parse_maps,
     preset,
-    random_permutation,
 )
 from ringgraphs.spaces import BitVec, Mat2, PolyQuot, State, UpperTri2, Zn, ZnNonzero
 
@@ -206,8 +205,8 @@ def test_ca_rule_110_against_hand_transition():
 
 
 def test_random_permutation_properties():
-    assert list(image_table(random_permutation(1, 99), Zn(1))) == [0]
-    t5 = image_table(random_permutation(5, 7), Zn(5))
+    assert list(image_table(Perm(99), Zn(1))) == [0]
+    t5 = image_table(Perm(7), Zn(5))
     assert sorted(t5.tolist()) == [0, 1, 2, 3, 4]
     a = image_table(Perm(42), Zn(100))
     b = image_table(Perm(42), Zn(100))
@@ -271,12 +270,12 @@ def test_image_table_matches_pointwise_apply(family):
     for m in family.maps:
         table = image_table(m, family.space)
         for s in family.space.enumerate():
-            i = spaces.index_of(s)
+            i = family.space.index_of(s)
             out = apply(m, s)
             if out is None:
                 assert table[i] == -1
             else:
-                assert table[i] == spaces.index_of(out)
+                assert table[i] == family.space.index_of(out)
 
 
 def test_family_rejects_inapplicable_maps():

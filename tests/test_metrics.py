@@ -59,15 +59,15 @@ def test_component_examples(triangle_graph):
 
 
 def test_diameter_examples(triangle_graph):
-    assert metrics.diameter(triangle_graph) == 1
-    assert metrics.diameter(path3()) == 2
+    assert metrics._distance_scan(triangle_graph)[0] == 1
+    assert metrics._distance_scan(path3())[0] == 2
 
 
 def test_mean_path_length_examples(triangle_graph):
-    assert metrics.mean_path_length(triangle_graph) == 1.0
-    assert metrics.mean_path_length(path3()) == pytest.approx(4 / 3)
+    assert metrics._distance_scan(triangle_graph)[1] == 1.0
+    assert metrics._distance_scan(path3())[1] == pytest.approx(4 / 3)
     lonely = graph_from_edges(1, [], [])
-    assert metrics.mean_path_length(lonely) is None
+    assert metrics._distance_scan(lonely)[1] is None
 
 
 def test_clustering_examples(triangle_graph):
@@ -157,7 +157,8 @@ def test_transitivity_bound_and_euler_identity():
 def test_mu_at_most_diameter():
     for fam in (preset("collatz", 101), preset("pierpont", 37)):
         g = build_graph(fam)
-        assert metrics.mean_path_length(g) <= metrics.diameter(g)
+        diameter, mu, _ = metrics._distance_scan(g)
+        assert mu <= diameter
 
 
 def test_components_match_union_find():
@@ -195,8 +196,9 @@ def test_distances_match_bfs_oracle():
     diam = max(max(d.values()) for d in dists)
     total = sum(sum(d.values()) for d in dists)
     pairs = sum(len(d) - 1 for d in dists)
-    assert metrics.diameter(g) == diam
-    assert metrics.mean_path_length(g) == pytest.approx(total / pairs)
+    diameter, mu, _ = metrics._distance_scan(g)
+    assert diameter == diam
+    assert mu == pytest.approx(total / pairs)
 
 
 def test_cycle_graphs_have_uniform_eccentricity():
@@ -204,7 +206,7 @@ def test_cycle_graphs_have_uniform_eccentricity():
         g = build_graph(MapFamily((Affine(1, 1),), Zn(n)))
         eccs = {max(bfs_distances(g, s).values()) for s in range(n)}
         assert len(eccs) == 1
-        assert metrics.diameter(g) == n // 2
+        assert metrics._distance_scan(g)[0] == n // 2
 
 
 def test_empty_graph_edge_cases():
@@ -397,6 +399,25 @@ def test_triangle_kernel_with_straddling_chunks(monkeypatch):
         assert_triangle_kernel_matches_loop(g)
     monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 257)
     assert_triangle_kernel_matches_loop(from_texts("zn:4000", "x^2+1,x^2+2"))
+
+
+def test_kernels_at_vertex_ids_above_2_16():
+    # a K4 on 0..3 and a 6-rim wheel on 4..10, placed in order at vertex ids
+    # above 2^16 of a 2^17-vertex graph: the keys u*V+v reach 2^34, so an
+    # int32 product would wrap
+    us = [0, 0, 0, 1, 1, 2] + [4] * 6 + list(range(5, 11))
+    vs = [1, 2, 3, 2, 3, 3] + list(range(5, 11)) + list(range(6, 11)) + [5]
+    ids = np.array([(1 << 16) + 1 + 5000 * i for i in range(10)] + [(1 << 17) - 1])
+    for drop in (0, 1):  # 1 drops the K4 edge 0-1
+        small = graph_from_edges(11, us[drop:], vs[drop:])
+        g = graph_from_edges(1 << 17, ids[us[drop:]], ids[vs[drop:]])
+        assert metrics.triangle_count(g) == brute_triangles(small) == 10 - 2 * drop
+        assert metrics.k4_free(g) == (not brute_has_k4(small)) == bool(drop)
+        got_us, got_vs, common = metrics._edge_triangle_counts(g)
+        small_us, small_vs = small.edge_arrays()
+        assert np.array_equal(got_us, ids[small_us])
+        assert np.array_equal(got_vs, ids[small_vs])
+        assert np.array_equal(common, loop_edge_triangle_counts(small))
 
 
 def late_k4():

@@ -149,6 +149,16 @@ def test_smooth_set_examples():
     assert naive_smooth_members({2, 3}, 13) == [1, 2, 3, 4, 6, 8, 9, 12]
 
 
+def test_smooth_set_membership_matches_naive():
+    # members, non-members, 0, negatives and smooth values above the limit
+    for primes, limit in (({2}, 1), ({2}, 10), ({2, 3}, 1000), ({3, 5, 7}, 3000)):
+        s = nt.smooth_set(primes, limit)
+        want = set(naive_smooth_members(primes, limit))
+        for n in range(-20, 3 * limit + 20):
+            assert (n in s) == (n in want)
+    assert 16 not in nt.smooth_set({2}, 10)
+
+
 def test_double_smooth_set_examples():
     assert nt.double_smooth_set({3}, 100).members == (1, 2, 3, 6, 9, 18, 27, 54, 81)
     assert nt.double_smooth_set({2}, 8).members == (1, 2, 4, 8)

@@ -15,14 +15,14 @@ from ringgraphs.spaces import (
 
 
 def test_sizes():
-    assert spaces.size(Zn(5)) == 5
-    assert spaces.size(Mat2(5)) == 625
-    assert spaces.size(BitVec(9)) == 512
-    assert spaces.size(ZnNonzero(7)) == 6
-    assert spaces.size(ZnUnits(15)) == 8
-    assert spaces.size(ZnFromTwo(6)) == 4
-    assert spaces.size(UpperTri2(5)) == 125
-    assert spaces.size(PolyQuot(5, 6)) == 15625
+    assert Zn(5).size == 5
+    assert Mat2(5).size == 625
+    assert BitVec(9).size == 512
+    assert ZnNonzero(7).size == 6
+    assert ZnUnits(15).size == 8
+    assert ZnFromTwo(6).size == 4
+    assert UpperTri2(5).size == 125
+    assert PolyQuot(5, 6).size == 15625
 
 
 def test_from_two_needs_three():
@@ -39,11 +39,11 @@ def test_size_cap():
 
 
 def test_index_examples():
-    assert spaces.index_of(spaces.State(Zn(7), 3)) == 3
-    assert spaces.state_at(Zn(7), 3).payload == 3
-    assert spaces.state_at(ZnNonzero(7), 0).payload == 1
-    assert spaces.state_at(ZnUnits(15), 0).payload == 1
-    assert spaces.index_of(spaces.State(PolyQuot(5, 6), (0,) * 6)) == 0
+    assert Zn(7).index_of(spaces.State(Zn(7), 3)) == 3
+    assert Zn(7).state_at(3).payload == 3
+    assert ZnNonzero(7).state_at(0).payload == 1
+    assert ZnUnits(15).state_at(0).payload == 1
+    assert PolyQuot(5, 6).index_of(spaces.State(PolyQuot(5, 6), (0,) * 6)) == 0
 
 
 def test_units_enumeration():
@@ -79,10 +79,11 @@ def test_matrix_identity_roundtrip():
 def test_index_bijection_roundtrip(space):
     seen = set()
     for i in range(space.size):
-        state = spaces.state_at(space, i)
-        assert spaces.index_of(state) == i
+        state = space.state_at(i)
+        assert space.index_of(state) == i
         seen.add(state.payload)
     assert len(seen) == space.size  # pairwise distinct payloads
+    assert space.payloads() == [s.payload for s in space.enumerate()]
 
 
 def test_units_equal_nonzero_for_primes():
@@ -94,11 +95,11 @@ def test_units_equal_nonzero_for_primes():
 
 def test_out_of_space_rejected():
     with pytest.raises(ValueError):
-        spaces.state_at(Zn(5), 5)
+        Zn(5).state_at(5)
     with pytest.raises(ValueError):
-        spaces.index_of(spaces.State(Zn(5), 7))
+        Zn(5).index_of(spaces.State(Zn(5), 7))
     with pytest.raises(ValueError):
-        spaces.index_of(spaces.State(ZnUnits(8), 4))
+        ZnUnits(8).index_of(spaces.State(ZnUnits(8), 4))
     with pytest.raises(ValueError):
         Mat2(5).payload_to_index((5, 0, 0, 0))
     with pytest.raises(ValueError):
