@@ -8,7 +8,6 @@ from .spaces import (
     BitVec,
     Mat2,
     PolyQuot,
-    State,
     StateSpace,
     UpperTri2,
     Zn,
@@ -31,8 +30,6 @@ from .maps import (
     PolySquare,
     PowerPlus,
     WSMap,
-    apply,
-    ca_step,
     family_from_texts,
     format_map,
     parse_map,

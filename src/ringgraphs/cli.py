@@ -168,6 +168,8 @@ def cmd_scan(args) -> int:
         start = _LOCUS_START.get(args.space_kind)
         if start is None:
             raise ValueError(f"locus scans sweep residue spaces, not {args.space_kind!r}")
+        if args.maps is None:
+            raise ValueError("locus scans need --maps")
         maps = parse_maps(args.maps)
         result = connectivity_locus(maps, args.space_kind, range(start, args.nmax + 1))
         config = RunConfig(

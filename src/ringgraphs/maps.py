@@ -1,9 +1,9 @@
 """Generator maps over finite state spaces: parsing, pretty-printing,
-pointwise application, and vectorized image tables.
+and vectorized image tables.
 
-Application returns the image state, or None when the raw image falls
-outside a restricted residue space (no edge is produced in that case).
-The grammar, one expression per comma-separated item:
+A table gives the image index of every state, or -1 when the raw image
+falls outside a restricted residue space (no edge is produced in that
+case).  The grammar, one expression per comma-separated item:
 
     affine    := [INT] "x" (("+"|"-") INT)?      2x, 3x+1, x, x-1
     power     := "x^" INT (("+"|"-") INT)?       x^2, x^2+1, x^3
@@ -20,18 +20,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import floor
 
 import numpy as np
 
 from . import rng
-from .numtheory import proper_divisor_sum, proper_divisor_sums_upto
+from .numtheory import proper_divisor_sums_upto
 from .spaces import (
     BitVec,
+    DigitSpace,
     Mat2,
     PolyQuot,
     ResidueSpace,
-    State,
     StateSpace,
     UpperTri2,
     Zn,
@@ -353,6 +352,8 @@ def family_from_texts(space: StateSpace, maps_text: str) -> MapFamily:
 # ---------------------------------------------------------------------------
 # vectorized application
 
+_TABLE_CHUNK = 1 << 20  # states per chunk of digit columns in image_table
+
 
 def powmod_vec(base, exp, mod: int) -> np.ndarray:
     """Vectorized modular power; base and exp may be arrays or scalars."""
@@ -371,33 +372,6 @@ def powmod_vec(base, exp, mod: int) -> np.ndarray:
         base = base * base % mod
         exp >>= 1
     return result
-
-
-def _ca_image_indices(rule: int, width: int) -> np.ndarray:
-    idx = np.arange(1 << width, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for i in range(width):
-        left = (idx >> (width - 1 - (i - 1) % width)) & 1
-        center = (idx >> (width - 1 - i)) & 1
-        right = (idx >> (width - 1 - (i + 1) % width)) & 1
-        code = 4 * left + 2 * center + right
-        bit = (rule >> code) & 1
-        out |= bit << (width - 1 - i)
-    return out
-
-
-def ca_step(rule: int, bits: tuple[int, ...]) -> tuple[int, ...]:
-    """One synchronous update of an elementary CA with periodic boundary."""
-    w = len(bits)
-    if w < 3:
-        raise ValueError("cellular automata need width >= 3")
-    if not 0 <= rule <= 255:
-        raise ValueError("rule number must be in 0..255")
-    out = []
-    for i in range(w):
-        code = 4 * bits[(i - 1) % w] + 2 * bits[i] + bits[(i + 1) % w]
-        out.append((rule >> code) & 1)
-    return tuple(out)
 
 
 def _mat_mul(x, y, n):
@@ -425,7 +399,8 @@ def _mat_pow(x, e: int, n):
 
 def image_table(expr: MapExpr, space: StateSpace) -> np.ndarray:
     """Image index for every state index; -1 where the image escapes the
-    space (restricted residue subspaces only)."""
+    space (restricted residue subspaces only).  Digit spaces are built in
+    chunks of _TABLE_CHUNK states, so the digit columns stay bounded."""
     size = space.size
     if isinstance(expr, Perm):
         return rng.permutation_vector(size, expr.seed)
@@ -438,14 +413,15 @@ def image_table(expr: MapExpr, space: StateSpace) -> np.ndarray:
         elif isinstance(expr, PowerPlus):
             vals = (powmod_vec(r, expr.e, n) + expr.c % n) % n
         elif isinstance(expr, Exp):
-            vals = powmod_vec(expr.base, r, n)
+            vals = powmod_vec(expr.base % n, r, n)  # the base may pass 2^63
         elif isinstance(expr, Dickson):
             vals = proper_divisor_sums_upto(n)[r] % n
         elif isinstance(expr, WSMap):
-            # Python's float power, as in apply: numpy's vectorised power can
-            # differ from it in the last bit, and it raises OverflowError
-            # where numpy gives inf.  fmod is exact, so only values below n
-            # are cast (casting a float at or above 2^63 to int64 is undefined).
+            # Python's float power, as in the pointwise oracle: numpy's
+            # vectorised power can differ from it in the last bit, and it
+            # raises OverflowError where numpy gives inf.  fmod is exact, so
+            # only values below n are cast (casting a float at or above 2^63
+            # to int64 is undefined).
             p = 1.0 + expr.epsilon
             raw = np.floor(np.array([x**p for x in r.astype(np.float64).tolist()]))
             vals = (np.fmod(raw, n).astype(np.int64) + expr.shift % n) % n
@@ -453,121 +429,48 @@ def image_table(expr: MapExpr, space: StateSpace) -> np.ndarray:
             raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
         return space.residue_indices(vals)
 
-    if isinstance(space, Mat2):
-        n = space.n
-        x = space.entry_arrays()
+    out = np.empty(size, dtype=np.int64)
+    for start in range(0, size, _TABLE_CHUNK):
+        stop = min(start + _TABLE_CHUNK, size)
+        x = space.digits(np.arange(start, stop, dtype=np.int64))
+        out[start:stop] = space.pack(_digit_images(expr, space, x))
+    return out
+
+
+def _digit_images(expr: MapExpr, space: DigitSpace, x: tuple) -> tuple:
+    """Image digit columns of the digit columns x of a digit space."""
+    n = space.radix
+    if isinstance(space, (Mat2, UpperTri2)):
         if isinstance(expr, MatQuad):
-            a, b, c, d = _mat_mul(x, x, n)
-            ea, eb, ec, ed = (v % n for v in expr.entries)
-            return space.pack((a + ea) % n, (b + eb) % n, (c + ec) % n, (d + ed) % n)
+            e = [v % n for v in expr.entries]
+            if isinstance(space, UpperTri2) and e[2] != 0:
+                raise ValueError("matrix constant must be upper triangular here")
+            return tuple((v + c) % n for v, c in zip(_mat_mul(x, x, n), e))
         if isinstance(expr, PowerPlus):
             a, b, c, d = _mat_pow(x, expr.e, n)
             cc = expr.c % n
-            return space.pack((a + cc) % n, b, c, (d + cc) % n)
-
-    if isinstance(space, UpperTri2):
-        n = space.n
-        a, b, d = space.entry_arrays()
-        x = (a, b, a * 0, d)
-        if isinstance(expr, MatQuad):
-            ra, rb, _, rd = _mat_mul(x, x, n)
-            ea, eb, ec, ed = (v % n for v in expr.entries)
-            if ec != 0:
-                raise ValueError("matrix constant must be upper triangular here")
-            return space.pack((ra + ea) % n, (rb + eb) % n, (rd + ed) % n)
-        if isinstance(expr, PowerPlus):
-            ra, rb, _, rd = _mat_pow(x, expr.e, n)
-            cc = expr.c % n
-            return space.pack((ra + cc) % n, rb, (rd + cc) % n)
+            return ((a + cc) % n, b, c, (d + cc) % n)
 
     if isinstance(space, PolyQuot):
-        n, k = space.n, space.k
-        coeffs = space.coeff_arrays()
+        k = len(x)
         if isinstance(expr, PolyDeriv):
-            out = [(coeffs[j + 1] * (j + 1)) % n for j in range(k - 1)]
-            out.append(np.zeros(size, dtype=np.int64))
-            return space.pack(out)
+            return tuple(x[j + 1] * (j + 1) % n for j in range(k - 1)) + (x[0] * 0,)
         if isinstance(expr, PolySquare):
-            out = []
-            for j in range(k):
-                acc = np.zeros(size, dtype=np.int64)
-                for i in range(j + 1):
-                    acc += coeffs[i] * coeffs[j - i]
-                out.append(acc % n)
-            return space.pack(out)
+            return tuple(
+                sum(x[i] * x[j - i] for i in range(j + 1)) % n for j in range(k)
+            )
         if isinstance(expr, PolyAddConst):
-            const = [expr.coeffs[j] % n if j < len(expr.coeffs) else 0 for j in range(k)]
-            return space.pack([(coeffs[j] + const[j]) % n for j in range(k)])
+            const = expr.coeffs + (0,) * k
+            return tuple((x[j] + const[j] % n) % n for j in range(k))
 
     if isinstance(space, BitVec) and isinstance(expr, CARule):
-        if space.width < 3:
+        w = len(x)
+        if w < 3:
             raise ValueError("cellular automata need width >= 3")
-        return _ca_image_indices(expr.rule, space.width)
-
-    raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
-
-
-def apply(expr: MapExpr, state: State) -> State | None:
-    """Apply one map to one state; None when the image escapes the space."""
-    space = state.space
-    if isinstance(expr, Perm):
-        table = rng.permutation_vector(space.size, expr.seed)
-        return space.state_at(int(table[space.index_of(state)]))
-
-    if isinstance(space, ResidueSpace):
-        if not isinstance(expr, _RESIDUE_EXPRS):
-            raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
-        n = space.n
-        x = state.payload
-        if isinstance(expr, Affine):
-            v = (expr.a * x + expr.b) % n
-        elif isinstance(expr, PowerPlus):
-            v = (pow(x, expr.e, n) + expr.c) % n
-        elif isinstance(expr, Exp):
-            v = pow(expr.base, x, n)
-        elif isinstance(expr, Dickson):
-            v = proper_divisor_sum(x) % n
-        else:
-            v = (floor(float(x) ** (1.0 + expr.epsilon)) + expr.shift) % n
-        idx = int(space.residue_indices(np.array([v], dtype=np.int64))[0])
-        return None if idx < 0 else space.state_at(idx)
-
-    if isinstance(space, (Mat2, UpperTri2)):
-        n = space.n
-        x = state.payload
-        if isinstance(expr, MatQuad):
-            if isinstance(space, UpperTri2) and expr.entries[2] % n != 0:
-                raise ValueError("matrix constant must be upper triangular here")
-            sq = _mat_mul(x, x, n)
-            img = tuple((sq[i] + expr.entries[i]) % n for i in range(4))
-        elif isinstance(expr, PowerPlus):
-            pw = _mat_pow(x, expr.e, n)
-            c = expr.c % n
-            img = ((pw[0] + c) % n, pw[1], pw[2], (pw[3] + c) % n)
-        else:
-            raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
-        return State(space, img)
-
-    if isinstance(space, PolyQuot):
-        n, k = space.n, space.k
-        c = state.payload
-        if isinstance(expr, PolyDeriv):
-            img = tuple((c[j + 1] * (j + 1)) % n for j in range(k - 1)) + (0,)
-        elif isinstance(expr, PolySquare):
-            img = tuple(
-                sum(c[i] * c[j - i] for i in range(j + 1)) % n for j in range(k)
-            )
-        elif isinstance(expr, PolyAddConst):
-            img = tuple(
-                (c[j] + (expr.coeffs[j] if j < len(expr.coeffs) else 0)) % n
-                for j in range(k)
-            )
-        else:
-            raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
-        return State(space, img)
-
-    if isinstance(space, BitVec) and isinstance(expr, CARule):
-        return State(space, ca_step(expr.rule, state.payload))
+        return tuple(
+            expr.rule >> (4 * x[i - 1] + 2 * x[i] + x[(i + 1) % w]) & 1
+            for i in range(w)
+        )
 
     raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
 

@@ -6,8 +6,6 @@ given seed produces the same values on every platform and Python build.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -53,9 +51,6 @@ def shuffled_range(n: int, seed: int) -> list[int]:
     return table
 
 
-@lru_cache(maxsize=128)
 def permutation_vector(n: int, seed: int) -> np.ndarray:
-    """Image vector of the seeded permutation of {0..n-1}, cached per (n, seed)."""
-    arr = np.array(shuffled_range(n, seed), dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
+    """Image vector of the seeded permutation of {0..n-1}."""
+    return np.array(shuffled_range(n, seed), dtype=np.int64)

@@ -1,15 +1,15 @@
-"""Enumerable finite state spaces with a fixed bijection onto {0..size-1}.
+"""Finite state spaces with a fixed bijection onto {0..size-1}.
 
-Residue spaces carry integers, matrix spaces carry row-major entry tuples,
-polynomial quotients carry low-degree-first coefficient tuples, and bit
-vector spaces carry 0/1 tuples.  All spaces are immutable and safe to share.
+Residue spaces carry integers.  Digit spaces share one place-value layout:
+matrix spaces carry row-major entry tuples, polynomial quotients carry
+low-degree-first coefficient tuples, and bit vector spaces carry 0/1
+tuples.  All spaces are immutable and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator
 
 import numpy as np
 
@@ -18,14 +18,8 @@ from .numtheory import euler_phi
 SIZE_CAP = 1 << 25
 
 
-@dataclass(frozen=True)
-class State:
-    space: "StateSpace"
-    payload: Any
-
-
 class StateSpace:
-    """Base class; subclasses define size and the index bijection."""
+    """Base class; subclasses define size, payloads and spec."""
 
     kind: str = ""
 
@@ -33,37 +27,18 @@ class StateSpace:
     def size(self) -> int:
         raise NotImplementedError
 
-    def payload_to_index(self, payload) -> int:
-        raise NotImplementedError
-
-    def index_to_payload(self, index: int):
-        raise NotImplementedError
-
-    def index_of(self, state: State) -> int:
-        if state.space != self:
-            raise ValueError("state belongs to a different space")
-        return self.payload_to_index(state.payload)
-
-    def state_at(self, index: int) -> State:
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for {self.spec()}")
-        return State(self, self.index_to_payload(index))
-
-    def enumerate(self) -> Iterator[State]:
-        for i in range(self.size):
-            yield State(self, self.index_to_payload(i))
-
     def payloads(self) -> list:
         """Every payload in index order."""
-        return [self.index_to_payload(i) for i in range(self.size)]
+        raise NotImplementedError
 
     def spec(self) -> str:
         raise NotImplementedError
 
-    def _check_cap(self) -> None:
-        if self.size > SIZE_CAP:
+    def _check_cap(self, size: int | None = None) -> None:
+        size = self.size if size is None else size
+        if size > SIZE_CAP:
             raise ValueError(
-                f"space {self.spec()} has {self.size} states, above the cap {SIZE_CAP}"
+                f"space {self.spec()} has {size} states, above the cap {SIZE_CAP}"
             )
 
 
@@ -80,15 +55,6 @@ class ResidueSpace(StateSpace):
         """Indices for an array of residues already reduced mod n; -1 marks
         values outside the space (escape)."""
         raise NotImplementedError
-
-    def payload_to_index(self, payload) -> int:
-        idx = int(self.residue_indices(np.array([payload % self.n], dtype=np.int64))[0])
-        if idx < 0 or payload != payload % self.n:
-            raise ValueError(f"residue {payload} not in {self.spec()}")
-        return idx
-
-    def index_to_payload(self, index: int) -> int:
-        return int(self.residues()[index])
 
     def payloads(self) -> list[int]:
         return self.residues().tolist()  # one pass, not one residues() per index
@@ -202,8 +168,40 @@ class ZnFromTwo(ResidueSpace):
         return f"from2:{self.n}"
 
 
+class DigitSpace(StateSpace):
+    """States are tuples of digits base `radix`; the index of a state is the
+    sum of digit * place over `places`.  A place of 0 pins its digit at 0.
+
+    `digits` and `pack` take an int or an int64 array of indices and digit
+    columns alike, so one layout serves single states and whole tables."""
+
+    @property
+    def radix(self) -> int:
+        raise NotImplementedError
+
+    @property
+    def places(self) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    @property
+    def size(self) -> int:
+        return self.radix ** sum(1 for p in self.places if p)
+
+    def digits(self, index):
+        """Digit tuple (or tuple of digit columns) of an index (or array)."""
+        return tuple(index // p % self.radix if p else index * 0 for p in self.places)
+
+    def pack(self, digits):
+        """Index (or index array) of a digit tuple (or of digit columns)."""
+        return sum(d * p for d, p in zip(digits, self.places) if p)
+
+    def payloads(self) -> list[tuple[int, ...]]:
+        columns = self.digits(np.arange(self.size, dtype=np.int64))
+        return list(zip(*(c.tolist() for c in columns)))
+
+
 @dataclass(frozen=True)
-class Mat2(StateSpace):
+class Mat2(DigitSpace):
     """Full 2x2 matrix ring over Z_n; payload (a, b, c, d) row-major."""
 
     n: int
@@ -215,37 +213,19 @@ class Mat2(StateSpace):
         self._check_cap()
 
     @property
-    def size(self) -> int:
-        return self.n**4
+    def radix(self) -> int:
+        return self.n
 
-    def payload_to_index(self, payload) -> int:
-        a, b, c, d = payload
-        if not all(0 <= v < self.n for v in (a, b, c, d)):
-            raise ValueError(f"entries {payload} out of range mod {self.n}")
-        return ((a * self.n + b) * self.n + c) * self.n + d
-
-    def index_to_payload(self, index: int):
-        n = self.n
-        d = index % n
-        c = (index // n) % n
-        b = (index // n**2) % n
-        a = index // n**3
-        return (a, b, c, d)
-
-    def entry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        i = np.arange(self.size, dtype=np.int64)
-        n = self.n
-        return i // n**3, (i // n**2) % n, (i // n) % n, i % n
-
-    def pack(self, a, b, c, d) -> np.ndarray:
-        return ((a * self.n + b) * self.n + c) * self.n + d
+    @property
+    def places(self) -> tuple[int, ...]:
+        return (self.n**3, self.n**2, self.n, 1)
 
     def spec(self) -> str:
         return f"mat2:{self.n}"
 
 
 @dataclass(frozen=True)
-class UpperTri2(StateSpace):
+class UpperTri2(DigitSpace):
     """Upper triangular 2x2 matrices over Z_n; payload (a, b, 0, d)."""
 
     n: int
@@ -257,38 +237,19 @@ class UpperTri2(StateSpace):
         self._check_cap()
 
     @property
-    def size(self) -> int:
-        return self.n**3
+    def radix(self) -> int:
+        return self.n
 
-    def payload_to_index(self, payload) -> int:
-        a, b, c, d = payload
-        if c != 0:
-            raise ValueError("lower-left entry must be 0 in the upper-triangular ring")
-        if not all(0 <= v < self.n for v in (a, b, d)):
-            raise ValueError(f"entries {payload} out of range mod {self.n}")
-        return (a * self.n + b) * self.n + d
-
-    def index_to_payload(self, index: int):
-        n = self.n
-        d = index % n
-        b = (index // n) % n
-        a = index // n**2
-        return (a, b, 0, d)
-
-    def entry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        i = np.arange(self.size, dtype=np.int64)
-        n = self.n
-        return i // n**2, (i // n) % n, i % n
-
-    def pack(self, a, b, d) -> np.ndarray:
-        return (a * self.n + b) * self.n + d
+    @property
+    def places(self) -> tuple[int, ...]:
+        return (self.n**2, self.n, 0, 1)
 
     def spec(self) -> str:
         return f"ut2:{self.n}"
 
 
 @dataclass(frozen=True)
-class PolyQuot(StateSpace):
+class PolyQuot(DigitSpace):
     """Z_n[x] / (x^k); payload is a k-tuple of coefficients, low degree first."""
 
     n: int
@@ -298,45 +259,22 @@ class PolyQuot(StateSpace):
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError("need n >= 1 and k >= 1")
-        self._check_cap()
+        self._check_cap(self.n**self.k)  # before any of the k places is built
 
     @property
-    def size(self) -> int:
-        return self.n**self.k
+    def radix(self) -> int:
+        return self.n
 
-    def payload_to_index(self, payload) -> int:
-        if len(payload) != self.k:
-            raise ValueError(f"expected {self.k} coefficients")
-        if not all(0 <= c < self.n for c in payload):
-            raise ValueError(f"coefficients {payload} out of range mod {self.n}")
-        out = 0
-        for c in reversed(payload):
-            out = out * self.n + c
-        return out
-
-    def index_to_payload(self, index: int):
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(index % self.n)
-            index //= self.n
-        return tuple(coeffs)
-
-    def coeff_arrays(self) -> list[np.ndarray]:
-        i = np.arange(self.size, dtype=np.int64)
-        return [(i // self.n**j) % self.n for j in range(self.k)]
-
-    def pack(self, coeffs: list[np.ndarray]) -> np.ndarray:
-        out = np.zeros(self.size, dtype=np.int64)
-        for j, c in enumerate(coeffs):
-            out += c * self.n**j
-        return out
+    @property
+    def places(self) -> tuple[int, ...]:
+        return tuple(self.n**j for j in range(self.k))
 
     def spec(self) -> str:
         return f"poly:{self.n}:{self.k}"
 
 
 @dataclass(frozen=True)
-class BitVec(StateSpace):
+class BitVec(DigitSpace):
     """Bit vectors of a fixed width; payload is a 0/1 tuple, leftmost bit
     most significant in the index."""
 
@@ -346,22 +284,15 @@ class BitVec(StateSpace):
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be >= 1")
-        self._check_cap()
+        self._check_cap(1 << self.width)  # before any of the places is built
 
     @property
-    def size(self) -> int:
-        return 1 << self.width
+    def radix(self) -> int:
+        return 2
 
-    def payload_to_index(self, payload) -> int:
-        if len(payload) != self.width or not all(b in (0, 1) for b in payload):
-            raise ValueError(f"expected a {self.width}-bit 0/1 tuple")
-        out = 0
-        for b in payload:
-            out = (out << 1) | b
-        return out
-
-    def index_to_payload(self, index: int):
-        return tuple((index >> (self.width - 1 - i)) & 1 for i in range(self.width))
+    @property
+    def places(self) -> tuple[int, ...]:
+        return tuple(1 << (self.width - 1 - i) for i in range(self.width))
 
     def spec(self) -> str:
         return f"bits:{self.width}"

@@ -3,14 +3,20 @@ are used to check."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import ringgraphs
 from ringgraphs import maps
 from ringgraphs.graphs import SimpleGraph
+
+from oracles import apply, enumerate_states, index_of
 
 
 def naive_is_prime(n: int) -> bool:
@@ -64,13 +70,13 @@ def naive_smooth_members(primes: set[int], limit: int) -> list[int]:
 def brute_edges(family: maps.MapFamily) -> set[tuple[int, int]]:
     """Edge set via single-state application over the full enumeration."""
     edges = set()
-    for s in family.space.enumerate():
-        i = family.space.index_of(s)
+    for s in enumerate_states(family.space):
+        i = index_of(family.space, s)
         for m in family.maps:
-            t = maps.apply(m, s)
+            t = apply(m, s)
             if t is None:
                 continue
-            j = family.space.index_of(t)
+            j = index_of(family.space, t)
             if i != j:
                 edges.add((min(i, j), max(i, j)))
     return edges
@@ -166,6 +172,31 @@ def bfs_distances(g: SimpleGraph, source: int) -> dict[int, int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def run_under_address_limit(code: str, limit: int) -> str:
+    """Stdout of `python -c code` in a child whose address space is capped
+    at `limit` bytes (the cap is set in the child only), with one BLAS
+    thread so that thread stacks do not count against it."""
+    package_root = os.path.dirname(os.path.dirname(ringgraphs.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+
+    def limit_address_space():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        preexec_fn=limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 @pytest.fixture(scope="session")

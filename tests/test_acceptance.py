@@ -14,9 +14,9 @@ from ringgraphs.graphs import build_graph
 from ringgraphs.maps import MapFamily, PowerPlus, family_from_texts, preset
 from ringgraphs.metrics import full_report
 from ringgraphs.spaces import Zn, ZnNonzero
-from ringgraphs.unionfind import UnionFind
 
 from conftest import brute_triangles
+from oracles import UnionFind
 
 
 def report(cid: str, ok: bool, detail: str = ""):

@@ -9,6 +9,7 @@ from ringgraphs.maps import MapFamily, parse_maps
 from ringgraphs.spaces import Zn, parse_space
 
 from conftest import loop_dot
+from oracles import enumerate_states
 
 
 def run(args):
@@ -55,7 +56,7 @@ def test_gen_dot_labels_are_state_payloads(tmp_path, space, maps):
     assert run(["gen", "--space", space, "--maps", maps, "--labels", "--out", str(dot)]) == 0
     _, body = split_header(read(dot), comment="//")
     family = MapFamily(parse_maps(maps), parse_space(space))
-    labels = [str(s.payload) for s in family.space.enumerate()]
+    labels = [str(s.payload) for s in enumerate_states(family.space)]
     assert body == loop_dot(build_graph(family), labels)
 
 
@@ -71,7 +72,7 @@ def test_gen_labels_read_residues_once(tmp_path, monkeypatch):
     assert len(calls) <= 1
     _, body = split_header(read(dot), comment="//")
     labels = re.findall(r'^  \d+ \[label="(.*)"\];$', body, flags=re.M)
-    assert labels == [str(s.payload) for s in Zn(1 << 16).enumerate()]
+    assert labels == [str(s.payload) for s in enumerate_states(Zn(1 << 16))]
 
 
 def test_gen_trivial_graph_is_empty(tmp_path):
@@ -228,3 +229,8 @@ def test_cli_error_is_nonzero(capsys):
     assert "error:" in capsys.readouterr().err
     assert run(["gen", "--space", "zn:5", "--maps", "3x+"]) == 1
     assert run(["stats", "--space", "bits:2", "--maps", "ca:30"]) == 1
+
+
+def test_locus_without_maps_is_an_error(capsys):
+    assert run(["scan", "locus", "--nmax", "10"]) == 1
+    assert capsys.readouterr().err == "error: locus scans need --maps\n"

@@ -16,6 +16,7 @@ from ringgraphs.maps import Affine, MapFamily, PowerPlus, preset
 from ringgraphs.spaces import Zn
 
 from conftest import brute_edges, graph_edges, loop_dot, loop_edge_list, sorted_csr
+from oracles import enumerate_states
 
 
 def test_doubling_on_z4():
@@ -59,7 +60,7 @@ def test_export_dot():
     assert doc.startswith("graph G {")
     assert doc.count(" -- ") == 3
     g = build_graph(MapFamily((Affine(2, 0),), Zn(4)))
-    doc4 = export_dot(g, labels=[str(s.payload) for s in Zn(4).enumerate()])
+    doc4 = export_dot(g, labels=[str(s.payload) for s in enumerate_states(Zn(4))])
     assert doc4.count("label=") == 4
     assert doc4.count(" -- ") == 3
     assert export_dot(g) == export_dot(g)  # byte determinism

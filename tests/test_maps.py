@@ -1,3 +1,6 @@
+import json
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,15 +20,16 @@ from ringgraphs.maps import (
     PolySquare,
     PowerPlus,
     WSMap,
-    apply,
-    ca_step,
     format_map,
     image_table,
     parse_map,
     parse_maps,
     preset,
 )
-from ringgraphs.spaces import BitVec, Mat2, PolyQuot, State, UpperTri2, Zn, ZnNonzero
+from ringgraphs.spaces import BitVec, Mat2, PolyQuot, UpperTri2, Zn, ZnNonzero
+
+from conftest import run_under_address_limit
+from oracles import State, apply, ca_step, enumerate_states, index_of, state_at
 
 
 # -- parsing ----------------------------------------------------------------
@@ -116,7 +120,7 @@ def test_apply_examples():
 
 def test_apply_identity():
     for space in (Zn(12), ZnNonzero(11), spaces.ZnUnits(10)):
-        for s in space.enumerate():
+        for s in enumerate_states(space):
             assert apply(Affine(1, 0), s) == s
 
 
@@ -130,6 +134,9 @@ def test_exp_map_values():
     space = Zn(5)
     vals = [apply(Exp(2), State(space, x)).payload for x in range(5)]
     assert vals == [1, 2, 4, 3, 1]
+    # a base past 2^63 is reduced before the table casts it to int64
+    base = 2**70 + 2
+    assert image_table(Exp(base), space).tolist() == [pow(base, x, 5) for x in range(5)]
 
 
 def test_ws_map_matches_shift_at_zero_epsilon():
@@ -154,7 +161,9 @@ def test_ws_table_matches_apply_above_two_to_the_63():
     ]
     small = Zn(5000)
     table = image_table(WSMap(5.0, 3), small)
-    assert table.tolist() == [apply(WSMap(5.0, 3), s).payload for s in small.enumerate()]
+    assert table.tolist() == [
+        apply(WSMap(5.0, 3), s).payload for s in enumerate_states(small)
+    ]
 
 
 def test_ws_overflow_is_rejected_on_both_routes():
@@ -238,7 +247,7 @@ def test_poly_derivative_nilpotent():
     for n in (2, 3, 5):
         for k in (2, 3, 4):
             space = PolyQuot(n, k)
-            for s in space.enumerate():
+            for s in enumerate_states(space):
                 out = s
                 for _ in range(k):
                     out = apply(PolyDeriv(), out)
@@ -269,13 +278,167 @@ def test_image_table_matches_pointwise_apply(family):
     # the vectorized route must agree with single-state application everywhere
     for m in family.maps:
         table = image_table(m, family.space)
-        for s in family.space.enumerate():
-            i = family.space.index_of(s)
+        for s in enumerate_states(family.space):
+            i = index_of(family.space, s)
             out = apply(m, s)
             if out is None:
                 assert table[i] == -1
             else:
-                assert table[i] == family.space.index_of(out)
+                assert table[i] == index_of(family.space, out)
+
+
+# -- image tables against the pointwise oracle --------------------------------
+
+# negative constants, and constants past 2^63 that int64 cannot hold
+_CONSTS = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7]),
+)
+
+
+def _matrix_maps(n: int, upper: bool):
+    lower = _CONSTS.map(lambda c: c * n) if upper else _CONSTS  # c = 0 mod n
+    return st.one_of(
+        st.builds(MatQuad, st.tuples(_CONSTS, _CONSTS, lower, _CONSTS)),
+        st.builds(PowerPlus, st.integers(0, 12), _CONSTS),
+    )
+
+
+_RESIDUE_MAPS = st.one_of(
+    st.builds(Affine, _CONSTS, _CONSTS),
+    st.builds(PowerPlus, st.integers(0, 64), _CONSTS),
+    st.builds(Exp, _CONSTS),
+    st.builds(WSMap, st.floats(0, 2.5), _CONSTS),
+)
+_POLY_MAPS = st.one_of(
+    st.just(PolyDeriv()),
+    st.just(PolySquare()),
+    st.builds(PolyAddConst, st.lists(_CONSTS, min_size=1, max_size=12).map(tuple)),
+)
+
+# every map kind on every space kind, on spaces near the cap where a table
+# takes a few tenths of a second; the digit spaces span several chunks
+_ORACLE_CASES = [
+    (Zn(1_000_003), _RESIDUE_MAPS),
+    (ZnNonzero(1 << 20), _RESIDUE_MAPS),
+    (spaces.ZnUnits(1_000_000), _RESIDUE_MAPS),
+    (spaces.ZnFromTwo(999_983), _RESIDUE_MAPS),
+    (Zn((1 << 18) + 3), st.just(Dickson())),
+    (spaces.ZnUnits(1 << 18), st.just(Dickson())),
+    (Mat2(40), _matrix_maps(40, upper=False)),
+    (UpperTri2(150), _matrix_maps(150, upper=True)),
+    (PolyQuot(5, 9), _POLY_MAPS),
+    (PolyQuot(2, 21), _POLY_MAPS),
+    (BitVec(21), st.builds(CARule, st.integers(0, 255))),
+    (Zn(4999), st.builds(Perm, _CONSTS)),
+    (ZnNonzero(4999), st.builds(Perm, _CONSTS)),
+    (Mat2(8), st.builds(Perm, _CONSTS)),
+    (BitVec(12), st.builds(Perm, _CONSTS)),
+]
+
+
+def assert_matches_oracle(table, expr, space, indices):
+    for i in indices:
+        out = apply(expr, state_at(space, i))
+        want = -1 if out is None else index_of(space, out)
+        assert table[i] == want, (format_map(expr), space.spec(), i)
+
+
+def chunk_edges(size: int) -> list[int]:
+    """First and last states, and both sides of every chunk boundary."""
+    step = maps._TABLE_CHUNK
+    edges = [0, size - 1]
+    for start in range(step, size, step):
+        edges += [start - 1, start]
+    return edges
+
+
+@pytest.mark.parametrize(
+    "space,exprs", _ORACLE_CASES, ids=[c[0].spec() for c in _ORACLE_CASES]
+)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_image_table_matches_oracle_on_drawn_states(space, exprs, data):
+    expr = data.draw(exprs, label="map")
+    table = image_table(expr, space)
+    assert table.dtype == np.int64 and table.shape == (space.size,)
+    drawn = data.draw(
+        st.lists(st.integers(0, space.size - 1), min_size=1, max_size=40), label="states"
+    )
+    assert_matches_oracle(table, expr, space, drawn + chunk_edges(space.size))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize(
+    "family",
+    [
+        MapFamily((MatQuad((1, -2, 2**70, 4)), PowerPlus(3, -1), Perm(5)), Mat2(3)),
+        MapFamily(
+            (MatQuad((-1, 2, -(2**66), 4)), PowerPlus(2, 2**64), PowerPlus(0, 1)),
+            UpperTri2(4),
+        ),
+        MapFamily(
+            (PolyDeriv(), PolySquare(), PolyAddConst((-1, 2**70, 3, 4, 5))),
+            PolyQuot(3, 4),
+        ),
+        MapFamily((CARule(30), CARule(110), CARule(0), Perm(-1)), BitVec(7)),
+    ],
+    ids=["mat2", "ut2", "poly", "bits"],
+)
+def test_image_table_across_chunk_edges(monkeypatch, family, chunk):
+    whole = [image_table(m, family.space) for m in family.maps]
+    monkeypatch.setattr(maps, "_TABLE_CHUNK", chunk)
+    for m, table in zip(family.maps, whole):
+        chunked = image_table(m, family.space)
+        assert np.array_equal(chunked, table)
+        assert_matches_oracle(chunked, m, family.space, range(family.space.size))
+
+
+@pytest.mark.parametrize(
+    "expr,space,message",
+    [
+        (MatQuad((1, 2, 3, 4)), UpperTri2(5), "matrix constant must be upper triangular here"),
+        (CARule(30), BitVec(2), "cellular automata need width >= 3"),
+        (Affine(2, 0), BitVec(4), "'2x' not applicable to bits:4"),
+        (PolySquare(), Mat2(3), "'square' not applicable to mat2:3"),
+        (CARule(30), PolyQuot(2, 3), "'ca:30' not applicable to poly:2:3"),
+        (MatQuad((1, 2, 2, 4)), Zn(5), "'matquad:1,2,2,4' not applicable to zn:5"),
+    ],
+)
+def test_image_table_rejects_inapplicable_maps(expr, space, message):
+    with pytest.raises(ValueError) as err:
+        image_table(expr, space)
+    assert str(err.value) == message
+
+
+# (space, map) at the 2^25-state cap: the chunked build fits in 2 GiB of
+# address space, where whole-space digit columns did not
+_AT_CAP = [
+    pytest.param("mat2:76", "x^3+1"),
+    pytest.param("ut2:322", "x^2"),
+    pytest.param("poly:2:25", "square", marks=pytest.mark.slow),
+    pytest.param("bits:25", "ca:110", marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("space_text,map_text", _AT_CAP)
+def test_image_table_at_the_cap_fits_in_two_gib(space_text, map_text):
+    space = spaces.parse_space(space_text)
+    expr = parse_map(map_text)
+    assert space.size > (1 << 25) - (1 << 20)
+    picks = random.Random(space.size).sample(range(space.size), 24)
+    indices = sorted(set(chunk_edges(space.size) + picks))
+    code = (
+        "import json\n"
+        "from ringgraphs import maps, spaces\n"
+        f"space = spaces.parse_space({space_text!r})\n"
+        f"table = maps.image_table(maps.parse_map({map_text!r}), space)\n"
+        "assert table.shape == (space.size,)\n"
+        f"print(json.dumps(table[{indices!r}].tolist()))\n"
+    )
+    got = json.loads(run_under_address_limit(code, 2 << 30))
+    assert_matches_oracle(dict(zip(indices, got)), expr, space, indices)
 
 
 def test_family_rejects_inapplicable_maps():

@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from itertools import combinations
 
 import numpy as np
@@ -31,14 +28,15 @@ from ringgraphs.spaces import (
     ZnUnits,
     parse_space,
 )
-from ringgraphs.unionfind import UnionFind
 
 from conftest import (
     bfs_distances,
     brute_has_k4,
     brute_triangles,
     loop_edge_triangle_counts,
+    run_under_address_limit,
 )
+from oracles import UnionFind
 
 
 def path3():
@@ -324,25 +322,7 @@ def test_full_report_at_2_17_fits_in_one_gib():
         "g = graphs.build_graph(maps.family_from_texts(space, 'x^2+1,x^2+2'))\n"
         "print(metrics.full_report(g).to_json(), end='')\n"
     )
-    package_root = os.path.dirname(os.path.dirname(metrics.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-
-    def limit_address_space():
-        import resource
-
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        preexec_fn=limit_address_space,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == PINNED_2_17
+    assert json.loads(run_under_address_limit(code, 1 << 30)) == PINNED_2_17
 
 
 # -- wedge triangle and 4-clique kernels against loops ------------------------

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
-from ringgraphs import spaces
 from ringgraphs.spaces import (
     BitVec,
+    DigitSpace,
     Mat2,
     PolyQuot,
     UpperTri2,
@@ -11,6 +12,15 @@ from ringgraphs.spaces import (
     ZnNonzero,
     ZnUnits,
     parse_space,
+)
+
+from oracles import (
+    State,
+    enumerate_states,
+    index_of,
+    index_to_payload,
+    payload_to_index,
+    state_at,
 )
 
 
@@ -36,27 +46,36 @@ def test_size_cap():
     with pytest.raises(ValueError):
         BitVec(26)
     Zn(1 << 25)  # exactly at the cap is fine
+    # far above the cap the check comes before any place value is built
+    with pytest.raises(ValueError):
+        PolyQuot(2, 10**6)
+    with pytest.raises(ValueError):
+        BitVec(10**6)
 
 
 def test_index_examples():
-    assert Zn(7).index_of(spaces.State(Zn(7), 3)) == 3
-    assert Zn(7).state_at(3).payload == 3
-    assert ZnNonzero(7).state_at(0).payload == 1
-    assert ZnUnits(15).state_at(0).payload == 1
-    assert PolyQuot(5, 6).index_of(spaces.State(PolyQuot(5, 6), (0,) * 6)) == 0
+    assert index_of(Zn(7), State(Zn(7), 3)) == 3
+    assert state_at(Zn(7), 3).payload == 3
+    assert state_at(ZnNonzero(7), 0).payload == 1
+    assert state_at(ZnUnits(15), 0).payload == 1
+    assert index_of(PolyQuot(5, 6), State(PolyQuot(5, 6), (0,) * 6)) == 0
+    assert Mat2(5).pack((1, 2, 3, 4)) == 1 * 125 + 2 * 25 + 3 * 5 + 4
+    assert UpperTri2(5).digits(1 * 25 + 2 * 5 + 4) == (1, 2, 0, 4)
+    assert PolyQuot(5, 3).digits(1 + 2 * 5 + 3 * 25) == (1, 2, 3)
+    assert BitVec(4).pack((1, 0, 1, 1)) == 0b1011
 
 
 def test_units_enumeration():
-    assert [s.payload for s in ZnUnits(8).enumerate()] == [1, 3, 5, 7]
-    assert [s.payload for s in ZnUnits(15).enumerate()] == [1, 2, 4, 7, 8, 11, 13, 14]
+    assert [s.payload for s in enumerate_states(ZnUnits(8))] == [1, 3, 5, 7]
+    assert [s.payload for s in enumerate_states(ZnUnits(15))] == [1, 2, 4, 7, 8, 11, 13, 14]
 
 
 def test_from_two_enumeration():
-    assert [s.payload for s in ZnFromTwo(6).enumerate()] == [2, 3, 4, 5]
+    assert [s.payload for s in enumerate_states(ZnFromTwo(6))] == [2, 3, 4, 5]
 
 
 def test_bitvec_enumeration():
-    assert [s.payload for s in BitVec(2).enumerate()] == [
+    assert [s.payload for s in enumerate_states(BitVec(2))] == [
         (0, 0),
         (0, 1),
         (1, 0),
@@ -66,8 +85,10 @@ def test_bitvec_enumeration():
 
 def test_matrix_identity_roundtrip():
     sp = Mat2(2)
-    idx = sp.payload_to_index((1, 0, 0, 1))
-    assert sp.index_to_payload(idx) == (1, 0, 0, 1)
+    idx = payload_to_index(sp, (1, 0, 0, 1))
+    assert index_to_payload(sp, idx) == (1, 0, 0, 1)
+    assert sp.pack((1, 0, 0, 1)) == idx
+    assert sp.digits(idx) == (1, 0, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -79,36 +100,43 @@ def test_matrix_identity_roundtrip():
 def test_index_bijection_roundtrip(space):
     seen = set()
     for i in range(space.size):
-        state = space.state_at(i)
-        assert space.index_of(state) == i
+        state = state_at(space, i)
+        assert index_of(space, state) == i
         seen.add(state.payload)
     assert len(seen) == space.size  # pairwise distinct payloads
-    assert space.payloads() == [s.payload for s in space.enumerate()]
+    payloads = [s.payload for s in enumerate_states(space)]
+    assert space.payloads() == payloads
+    if isinstance(space, DigitSpace):
+        # the place-value layout, one index at a time and as whole columns
+        assert [space.digits(i) for i in range(space.size)] == payloads
+        assert [space.pack(p) for p in payloads] == list(range(space.size))
+        columns = space.digits(np.arange(space.size, dtype=np.int64))
+        assert np.array_equal(space.pack(columns), np.arange(space.size))
 
 
 def test_units_equal_nonzero_for_primes():
     for p in (2, 3, 5, 7, 11, 13):
-        units = [s.payload for s in ZnUnits(p).enumerate()]
-        nonzero = [s.payload for s in ZnNonzero(p).enumerate()]
+        units = [s.payload for s in enumerate_states(ZnUnits(p))]
+        nonzero = [s.payload for s in enumerate_states(ZnNonzero(p))]
         assert units == nonzero
 
 
 def test_out_of_space_rejected():
     with pytest.raises(ValueError):
-        Zn(5).state_at(5)
+        state_at(Zn(5), 5)
     with pytest.raises(ValueError):
-        Zn(5).index_of(spaces.State(Zn(5), 7))
+        index_of(Zn(5), State(Zn(5), 7))
     with pytest.raises(ValueError):
-        ZnUnits(8).index_of(spaces.State(ZnUnits(8), 4))
+        index_of(ZnUnits(8), State(ZnUnits(8), 4))
     with pytest.raises(ValueError):
-        Mat2(5).payload_to_index((5, 0, 0, 0))
+        payload_to_index(Mat2(5), (5, 0, 0, 0))
     with pytest.raises(ValueError):
-        UpperTri2(5).payload_to_index((1, 2, 3, 4))  # lower-left must be 0
+        payload_to_index(UpperTri2(5), (1, 2, 3, 4))  # lower-left must be 0
 
 
 def test_index_of_checks_space_identity():
     with pytest.raises(ValueError):
-        Zn(5).index_of(spaces.State(Zn(6), 3))
+        index_of(Zn(5), State(Zn(6), 3))
 
 
 def test_parse_space():
