@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .numtheory import proper_divisor_sums_upto
+from .numtheory import proper_divisor_sums
 from .spaces import (
     BitVec,
-    DigitSpace,
     Mat2,
     PolyQuot,
     ResidueSpace,
@@ -352,25 +351,30 @@ def family_from_texts(space: StateSpace, maps_text: str) -> MapFamily:
 # ---------------------------------------------------------------------------
 # vectorized application
 
-_TABLE_CHUNK = 1 << 20  # states per chunk of digit columns in image_table
+_TABLE_CHUNK = 1 << 20  # states per chunk of columns in image_table
 
 
-def powmod_vec(base, exp, mod: int) -> np.ndarray:
-    """Vectorized modular power; base and exp may be arrays or scalars."""
-    if mod == 1:
-        shape = np.broadcast(np.asarray(base), np.asarray(exp)).shape
-        return np.zeros(shape, dtype=np.int64)
-    base = np.asarray(base, dtype=np.int64) % mod
-    exp = np.asarray(exp, dtype=np.int64)
-    result = np.ones(np.broadcast(base, exp).shape, dtype=np.int64)
-    base = np.broadcast_to(base, result.shape).copy()
-    exp = np.broadcast_to(exp, result.shape).copy()
-    bits = int(exp.max()).bit_length() if exp.size else 0
-    for _ in range(bits):
-        odd = (exp & 1) == 1
-        result[odd] = result[odd] * base[odd] % mod
-        base = base * base % mod
-        exp >>= 1
+def _power(x, e: int, one, mul):
+    """x^e by square-and-multiply over the bits of the Python int e."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
+def _exp(base: int, x: np.ndarray, n: int) -> np.ndarray:
+    """base^x mod n for a nonempty array x >= 0, over the bits of x; the
+    squares of the base are Python ints, so the base may pass 2^63."""
+    result = np.full(x.shape, 1 % n, dtype=np.int64)
+    square = base % n
+    for bit in range(int(x.max()).bit_length()):
+        odd = (x >> bit) & 1 == 1
+        result[odd] = result[odd] * square % n
+        square = square * square % n
     return result
 
 
@@ -385,61 +389,48 @@ def _mat_mul(x, y, n):
     )
 
 
-def _mat_pow(x, e: int, n):
-    zero = x[0] * 0
-    result = (zero + 1, zero, zero, zero + 1)
-    base = x
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base, n)
-        base = _mat_mul(base, base, n)
-        e >>= 1
-    return result
-
-
 def image_table(expr: MapExpr, space: StateSpace) -> np.ndarray:
     """Image index for every state index; -1 where the image escapes the
-    space (restricted residue subspaces only).  Digit spaces are built in
-    chunks of _TABLE_CHUNK states, so the digit columns stay bounded."""
+    space (restricted residue subspaces only).  Tables are built in chunks
+    of _TABLE_CHUNK states, so the columns stay bounded up to the cap."""
     size = space.size
     if isinstance(expr, Perm):
         return rng.permutation_vector(size, expr.seed)
+    out = np.empty(size, dtype=np.int64)
+    for start in range(0, size, _TABLE_CHUNK):
+        stop = min(start + _TABLE_CHUNK, size)
+        x = space.digits(np.arange(start, stop, dtype=np.int64))
+        out[start:stop] = space.pack(_images(expr, space, x))
+    return out
 
+
+def _images(expr: MapExpr, space: StateSpace, x: tuple) -> tuple:
+    """Image columns of the columns x of one chunk of a space."""
     if isinstance(space, ResidueSpace):
         n = space.n
-        r = space.residues()
+        (r,) = x
         if isinstance(expr, Affine):
-            vals = (expr.a % n * r + expr.b % n) % n
-        elif isinstance(expr, PowerPlus):
-            vals = (powmod_vec(r, expr.e, n) + expr.c % n) % n
-        elif isinstance(expr, Exp):
-            vals = powmod_vec(expr.base % n, r, n)  # the base may pass 2^63
-        elif isinstance(expr, Dickson):
-            vals = proper_divisor_sums_upto(n)[r] % n
-        elif isinstance(expr, WSMap):
+            return ((expr.a % n * r + expr.b % n) % n,)
+        if isinstance(expr, PowerPlus):
+            power = _power(r, expr.e, 1 % n, lambda u, v: u * v % n)
+            return ((power + expr.c % n) % n,)
+        if isinstance(expr, Exp):
+            return (_exp(expr.base, r, n),)
+        if isinstance(expr, Dickson):
+            lo = int(r[0])
+            return (proper_divisor_sums(lo, int(r[-1]) + 1)[r - lo] % n,)
+        if isinstance(expr, WSMap):
             # Python's float power, as in the pointwise oracle: numpy's
             # vectorised power can differ from it in the last bit, and it
             # raises OverflowError where numpy gives inf.  fmod is exact, so
             # only values below n are cast (casting a float at or above 2^63
             # to int64 is undefined).
             p = 1.0 + expr.epsilon
-            raw = np.floor(np.array([x**p for x in r.astype(np.float64).tolist()]))
-            vals = (np.fmod(raw, n).astype(np.int64) + expr.shift % n) % n
-        else:
-            raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
-        return space.residue_indices(vals)
+            raw = np.floor(np.array([v**p for v in r.astype(np.float64).tolist()]))
+            return ((np.fmod(raw, n).astype(np.int64) + expr.shift % n) % n,)
+    else:
+        n = space.radix
 
-    out = np.empty(size, dtype=np.int64)
-    for start in range(0, size, _TABLE_CHUNK):
-        stop = min(start + _TABLE_CHUNK, size)
-        x = space.digits(np.arange(start, stop, dtype=np.int64))
-        out[start:stop] = space.pack(_digit_images(expr, space, x))
-    return out
-
-
-def _digit_images(expr: MapExpr, space: DigitSpace, x: tuple) -> tuple:
-    """Image digit columns of the digit columns x of a digit space."""
-    n = space.radix
     if isinstance(space, (Mat2, UpperTri2)):
         if isinstance(expr, MatQuad):
             e = [v % n for v in expr.entries]
@@ -447,7 +438,9 @@ def _digit_images(expr: MapExpr, space: DigitSpace, x: tuple) -> tuple:
                 raise ValueError("matrix constant must be upper triangular here")
             return tuple((v + c) % n for v, c in zip(_mat_mul(x, x, n), e))
         if isinstance(expr, PowerPlus):
-            a, b, c, d = _mat_pow(x, expr.e, n)
+            zero = x[0] * 0
+            one = (zero + 1, zero, zero, zero + 1)
+            a, b, c, d = _power(x, expr.e, one, lambda u, v: _mat_mul(u, v, n))
             cc = expr.c % n
             return ((a + cc) % n, b, c, (d + cc) % n)
 
@@ -456,9 +449,13 @@ def _digit_images(expr: MapExpr, space: DigitSpace, x: tuple) -> tuple:
         if isinstance(expr, PolyDeriv):
             return tuple(x[j + 1] * (j + 1) % n for j in range(k - 1)) + (x[0] * 0,)
         if isinstance(expr, PolySquare):
-            return tuple(
-                sum(x[i] * x[j - i] for i in range(j + 1)) % n for j in range(k)
-            )
+            # x_i * x_(j-i) and x_(j-i) * x_i are one product, taken twice
+            out = []
+            for j in range(k):
+                twice = sum(x[i] * x[j - i] for i in range((j + 1) // 2))
+                middle = x[j // 2] * x[j // 2] if j % 2 == 0 else 0
+                out.append((2 * twice + middle) % n)
+            return tuple(out)
         if isinstance(expr, PolyAddConst):
             const = expr.coeffs + (0,) * k
             return tuple((x[j] + const[j] % n) % n for j in range(k))

@@ -225,11 +225,19 @@ def proper_divisor_sum(x: int) -> int:
     return total - x
 
 
-def proper_divisor_sums_upto(limit: int) -> np.ndarray:
-    """Table s[x] = proper_divisor_sum(x) for 0 <= x < limit."""
-    s = np.zeros(limit, dtype=np.int64)
-    for d in range(1, limit // 2 + 1):
-        s[2 * d :: d] += d
+def proper_divisor_sums(start: int, stop: int) -> np.ndarray:
+    """Table s[x - start] = proper_divisor_sum(x) for start <= x < stop.
+
+    Each divisor d <= sqrt(x) of x pairs with x/d, so the work is one
+    strided pass per d below sqrt(stop)."""
+    s = np.zeros(max(stop - start, 0), dtype=np.int64)
+    s[max(2 - start, 0) :] = 1  # the divisor 1 of every x >= 2
+    for d in range(2, isqrt(max(stop - 1, 0)) + 1):
+        q = max(d, -(-start // d))  # the cofactor of the first multiple
+        block = s[d * q - start :: d]
+        block += d + np.arange(q, q + len(block))
+        if q == d:
+            block[0] -= d  # x = d^2 has the divisor d once
     return s
 
 

@@ -1,9 +1,11 @@
 """Finite state spaces with a fixed bijection onto {0..size-1}.
 
-Residue spaces carry integers.  Digit spaces share one place-value layout:
-matrix spaces carry row-major entry tuples, polynomial quotients carry
-low-degree-first coefficient tuples, and bit vector spaces carry 0/1
-tuples.  All spaces are immutable and safe to share.
+Every space indexes its states through one layout: `digits` turns an index
+into a tuple of columns and `pack` turns columns back into an index.
+Residue spaces have one column, the member residue.  Digit spaces have one
+column per place value: matrix spaces carry row-major entry tuples,
+polynomial quotients carry low-degree-first coefficient tuples, and bit
+vector spaces carry 0/1 tuples.  All spaces are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .numtheory import euler_phi
+from .numtheory import euler_phi, factorize
 
 SIZE_CAP = 1 << 25
 
 
 class StateSpace:
-    """Base class; subclasses define size, payloads and spec."""
+    """Base class; subclasses define size, digits, pack and spec.
+
+    `digits` and `pack` take an int or an int64 array of indices and
+    columns alike, so one layout serves single states and whole tables."""
 
     kind: str = ""
 
@@ -27,9 +32,17 @@ class StateSpace:
     def size(self) -> int:
         raise NotImplementedError
 
-    def payloads(self) -> list:
-        """Every payload in index order."""
+    def digits(self, index) -> tuple:
+        """Column tuple of an index (or of an index array)."""
         raise NotImplementedError
+
+    def pack(self, digits):
+        """Index (or index array) of a column tuple."""
+        raise NotImplementedError
+
+    def payloads(self) -> list:
+        """Every payload in index order, as column tuples."""
+        return list(zip(*(c.tolist() for c in self.digits(np.arange(self.size, dtype=np.int64)))))
 
     def spec(self) -> str:
         raise NotImplementedError
@@ -43,69 +56,55 @@ class StateSpace:
 
 
 class ResidueSpace(StateSpace):
-    """Subsets of Z_n; payloads are integers in [0, n)."""
+    """Subsets of Z_n; payloads are integers in [0, n).  `pack` takes
+    residues already reduced mod n and gives -1 for a residue outside the
+    space (an escape)."""
 
     n: int
 
-    def residues(self) -> np.ndarray:
-        """Member residues in index order (int64)."""
-        raise NotImplementedError
+    def payloads(self) -> list:
+        """Every member residue in index order."""
+        return self.digits(np.arange(self.size, dtype=np.int64))[0].tolist()
 
-    def residue_indices(self, values: np.ndarray) -> np.ndarray:
-        """Indices for an array of residues already reduced mod n; -1 marks
-        values outside the space (escape)."""
-        raise NotImplementedError
-
-    def payloads(self) -> list[int]:
-        return self.residues().tolist()  # one pass, not one residues() per index
+    def spec(self) -> str:
+        return f"{self.kind}:{self.n}"
 
 
 @dataclass(frozen=True)
-class Zn(ResidueSpace):
+class _ResidueRun(ResidueSpace):
+    """The residues first, first+1, ..., n-1 in order."""
+
     n: int
-    kind = "zn"
+    first = 0
+    too_small = ""  # the error for n <= first
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if self.n <= self.first:
+            raise ValueError(self.too_small)
         self._check_cap()
 
     @property
     def size(self) -> int:
-        return self.n
+        return self.n - self.first
 
-    def residues(self) -> np.ndarray:
-        return np.arange(self.n, dtype=np.int64)
+    def digits(self, index) -> tuple:
+        return (index + self.first,)
 
-    def residue_indices(self, values: np.ndarray) -> np.ndarray:
-        return values
-
-    def spec(self) -> str:
-        return f"zn:{self.n}"
+    def pack(self, digits):
+        (residue,) = digits
+        return np.maximum(residue - self.first, -1)
 
 
-@dataclass(frozen=True)
-class ZnNonzero(ResidueSpace):
-    n: int
-    kind = "znz"
+class Zn(_ResidueRun):
+    kind, first, too_small = "zn", 0, "n must be >= 1"
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("nonzero residues need n >= 2")
-        self._check_cap()
 
-    @property
-    def size(self) -> int:
-        return self.n - 1
+class ZnNonzero(_ResidueRun):
+    kind, first, too_small = "znz", 1, "nonzero residues need n >= 2"
 
-    def residues(self) -> np.ndarray:
-        return np.arange(1, self.n, dtype=np.int64)
 
-    def residue_indices(self, values: np.ndarray) -> np.ndarray:
-        return values - 1
-
-    def spec(self) -> str:
-        return f"znz:{self.n}"
+class ZnFromTwo(_ResidueRun):
+    kind, first, too_small = "from2", 2, "the {2..n-1} space needs n >= 3"
 
 
 @dataclass(frozen=True)
@@ -116,64 +115,37 @@ class ZnUnits(ResidueSpace):
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if euler_phi(self.n) > SIZE_CAP:
-            raise ValueError("space above the cap")
-
-    @property
-    def size(self) -> int:
-        return len(self.residues())
-
-    @cached_property
-    def _units(self) -> np.ndarray:
-        r = np.arange(self.n, dtype=np.int64)
-        return r[np.gcd(r, self.n) == 1]
-
-    @cached_property
-    def _lookup(self) -> np.ndarray:
-        table = np.full(self.n, -1, dtype=np.int64)
-        table[self._units] = np.arange(len(self._units), dtype=np.int64)
-        return table
-
-    def residues(self) -> np.ndarray:
-        return self._units
-
-    def residue_indices(self, values: np.ndarray) -> np.ndarray:
-        return self._lookup[values]
-
-    def spec(self) -> str:
-        return f"units:{self.n}"
-
-
-@dataclass(frozen=True)
-class ZnFromTwo(ResidueSpace):
-    n: int
-    kind = "from2"
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("the {2..n-1} space needs n >= 3")
         self._check_cap()
 
     @property
     def size(self) -> int:
-        return self.n - 2
+        return euler_phi(self.n)
 
-    def residues(self) -> np.ndarray:
-        return np.arange(2, self.n, dtype=np.int64)
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The member residues in order, and the index of every residue
+        (-1 for non-units).  int32 holds both: n is below 2^31 when the
+        space is under the cap."""
+        unit = np.ones(self.n, dtype=bool)
+        for p in factorize(self.n).primes():
+            unit[::p] = False
+        members = np.flatnonzero(unit).astype(np.int32)
+        del unit
+        lookup = np.full(self.n, -1, dtype=np.int32)
+        lookup[members] = np.arange(len(members), dtype=np.int32)
+        return members, lookup
 
-    def residue_indices(self, values: np.ndarray) -> np.ndarray:
-        return np.where(values >= 2, values - 2, -1)
+    def digits(self, index) -> tuple:
+        return (self._layout[0][index].astype(np.int64),)
 
-    def spec(self) -> str:
-        return f"from2:{self.n}"
+    def pack(self, digits):
+        (residue,) = digits
+        return self._layout[1][residue]
 
 
 class DigitSpace(StateSpace):
     """States are tuples of digits base `radix`; the index of a state is the
-    sum of digit * place over `places`.  A place of 0 pins its digit at 0.
-
-    `digits` and `pack` take an int or an int64 array of indices and digit
-    columns alike, so one layout serves single states and whole tables."""
+    sum of digit * place over `places`.  A place of 0 pins its digit at 0."""
 
     @property
     def radix(self) -> int:
@@ -187,17 +159,11 @@ class DigitSpace(StateSpace):
     def size(self) -> int:
         return self.radix ** sum(1 for p in self.places if p)
 
-    def digits(self, index):
-        """Digit tuple (or tuple of digit columns) of an index (or array)."""
+    def digits(self, index) -> tuple:
         return tuple(index // p % self.radix if p else index * 0 for p in self.places)
 
     def pack(self, digits):
-        """Index (or index array) of a digit tuple (or of digit columns)."""
         return sum(d * p for d, p in zip(digits, self.places) if p)
-
-    def payloads(self) -> list[tuple[int, ...]]:
-        columns = self.digits(np.arange(self.size, dtype=np.int64))
-        return list(zip(*(c.tolist() for c in columns)))
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,17 @@ c = 0 on the upper-triangular ring; polynomial quotients carry coefficient
 tuples, low degree first; bit vector spaces carry 0/1 tuples whose leftmost
 bit is the most significant in the index.  The index codecs below spell
 that order out per space kind, and `apply` applies one map to one state.
-Nothing here uses the package's table, digit or payload code; the residue
-spaces' own member lists and the seeded shuffle are the only package parts
-read, since they define the spaces and the perm maps.
+Nothing here uses the package's table, digit or payload code; the seeded
+shuffle is the only package part read, since it defines the perm maps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import floor, gcd
 from typing import Any, Iterator
-
-import numpy as np
 
 from ringgraphs import rng
 from ringgraphs.maps import (
@@ -65,12 +63,37 @@ class State:
 _RESIDUE_START = {Zn: 0, ZnNonzero: 1, ZnFromTwo: 2}
 
 
+@lru_cache(maxsize=16)
+def _mobius_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) for every squarefree divisor d of n, by trial division."""
+    primes, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    out = [(1, 1)]
+    for p in primes:
+        out += [(d * p, -mu) for d, mu in out]
+    return tuple(out)
+
+
+def units_below(n: int, x: int) -> int:
+    """How many r in [0, x) have gcd(r, n) = 1: the index of the unit x in
+    units:n, whose members are those r in increasing order.  Counted by
+    inclusion-exclusion over the multiples of n's primes in [0, x)."""
+    return sum(mu * -(-x // d) for d, mu in _mobius_divisors(n))
+
+
 def payload_to_index(space: StateSpace, payload) -> int:
     if isinstance(space, ResidueSpace):
         n = space.n
         if isinstance(space, ZnUnits):
             ok = 0 <= payload < n and gcd(payload, n) == 1
-            idx = int(np.searchsorted(space.residues(), payload))
+            idx = units_below(n, payload)
         else:
             idx = payload - _RESIDUE_START[type(space)]
             ok = 0 <= idx and payload < n
@@ -113,7 +136,9 @@ def payload_to_index(space: StateSpace, payload) -> int:
 
 def index_to_payload(space: StateSpace, index: int):
     if isinstance(space, ZnUnits):
-        return int(space.residues()[index])
+        # the least r with index + 1 units in [0, r]
+        n = space.n
+        return bisect_left(range(n), index + 1, key=lambda r: units_below(n, r + 1))
     if isinstance(space, ResidueSpace):
         return index + _RESIDUE_START[type(space)]
     if isinstance(space, (Mat2, UpperTri2)):

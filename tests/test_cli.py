@@ -61,11 +61,11 @@ def test_gen_dot_labels_are_state_payloads(tmp_path, space, maps):
 
 
 def test_gen_labels_read_residues_once(tmp_path, monkeypatch):
-    # a perm map builds its table without residues(), so every call counted
+    # a perm map builds its table without digits(), so every call counted
     # here comes from the labels
     calls = []
-    residues = Zn.residues
-    monkeypatch.setattr(Zn, "residues", lambda self: calls.append(1) or residues(self))
+    digits = Zn.digits
+    monkeypatch.setattr(Zn, "digits", lambda self, i: calls.append(1) or digits(self, i))
     dot = tmp_path / "g.dot"
     args = ["gen", "--space", "zn:65536", "--maps", "perm:1", "--labels", "--out", str(dot)]
     assert run(args) == 0
@@ -73,6 +73,15 @@ def test_gen_labels_read_residues_once(tmp_path, monkeypatch):
     _, body = split_header(read(dot), comment="//")
     labels = re.findall(r'^  \d+ \[label="(.*)"\];$', body, flags=re.M)
     assert labels == [str(s.payload) for s in enumerate_states(Zn(1 << 16))]
+
+
+def test_gen_power_with_an_exponent_past_int64(tmp_path):
+    e = 99999999999999999999
+    out = tmp_path / "g.edges"
+    assert run(["gen", "--space", "zn:10", "--maps", f"x^{e}", "--out", str(out)]) == 0
+    _, body = split_header(read(out))
+    edges = sorted({tuple(sorted((x, pow(x, e, 10)))) for x in range(10) if pow(x, e, 10) != x})
+    assert body == "".join(f"{u} {v}\n" for u, v in edges)
 
 
 def test_gen_trivial_graph_is_empty(tmp_path):

@@ -307,7 +307,7 @@ def _matrix_maps(n: int, upper: bool):
 
 _RESIDUE_MAPS = st.one_of(
     st.builds(Affine, _CONSTS, _CONSTS),
-    st.builds(PowerPlus, st.integers(0, 64), _CONSTS),
+    st.builds(PowerPlus, st.integers(0, 64) | st.integers(2**63, 2**80), _CONSTS),
     st.builds(Exp, _CONSTS),
     st.builds(WSMap, st.floats(0, 2.5), _CONSTS),
 )
@@ -383,8 +383,18 @@ def test_image_table_matches_oracle_on_drawn_states(space, exprs, data):
             PolyQuot(3, 4),
         ),
         MapFamily((CARule(30), CARule(110), CARule(0), Perm(-1)), BitVec(7)),
+        MapFamily((Affine(3, -1), PowerPlus(2**64 + 3, 2**70)), Zn(17)),
+        # squares and doublings that escape to 0 and 1
+        MapFamily((PowerPlus(2, 0), Affine(2, -(2**66))), ZnNonzero(16)),
+        MapFamily((PowerPlus(2, -1), Affine(2, 0)), spaces.ZnFromTwo(18)),
+        MapFamily((PowerPlus(3, 1), Affine(5, 2), Perm(2)), spaces.ZnUnits(63)),
+        MapFamily((Dickson(),), Zn(50)),
+        MapFamily((Dickson(),), spaces.ZnUnits(60)),
+        MapFamily((WSMap(0.5, 1), WSMap(2.0, -3)), ZnNonzero(40)),
+        MapFamily((Exp(2), Exp(2**70 + 3)), spaces.ZnUnits(45)),
     ],
-    ids=["mat2", "ut2", "poly", "bits"],
+    ids=["mat2", "ut2", "poly", "bits", "zn", "znz", "from2", "units", "sigma",
+         "units-sigma", "ws", "exp"],
 )
 def test_image_table_across_chunk_edges(monkeypatch, family, chunk):
     whole = [image_table(m, family.space) for m in family.maps]
@@ -412,18 +422,30 @@ def test_image_table_rejects_inapplicable_maps(expr, space, message):
     assert str(err.value) == message
 
 
-# (space, map) at the 2^25-state cap: the chunked build fits in 2 GiB of
-# address space, where whole-space digit columns did not
+# (space, map, address-space limit) at the 2^25-state cap: the chunked
+# build fits where whole-space columns did not
+_GIB = 1 << 30
 _AT_CAP = [
-    pytest.param("mat2:76", "x^3+1"),
-    pytest.param("ut2:322", "x^2"),
-    pytest.param("poly:2:25", "square", marks=pytest.mark.slow),
-    pytest.param("bits:25", "ca:110", marks=pytest.mark.slow),
+    pytest.param("mat2:76", "x^3+1", 2 * _GIB, id="mat2:76-x^3+1"),
+    pytest.param("ut2:322", "x^2", 2 * _GIB, id="ut2:322-x^2"),
+    pytest.param("poly:2:25", "square", 2 * _GIB, id="poly:2:25-square",
+                 marks=pytest.mark.slow),
+    pytest.param("bits:25", "ca:110", 2 * _GIB, id="bits:25-ca:110",
+                 marks=pytest.mark.slow),
+    pytest.param("zn:33554432", "x^3-5", _GIB, id="zn:33554432-x^3-5"),
+    pytest.param("zn:33554432", "2^x", _GIB, id="zn:33554432-2^x",
+                 marks=pytest.mark.slow),
+    pytest.param("zn:33554432", "sigma", _GIB, id="zn:33554432-sigma"),
+    pytest.param("zn:33554432", "ws:0.5:1", _GIB, id="zn:33554432-ws:0.5:1",
+                 marks=pytest.mark.slow),
+    pytest.param("znz:33554432", "x^2", _GIB, id="znz:33554432-x^2"),
+    # phi(n) is under the cap, n is far above it
+    pytest.param("units:193993800", "x^2", 2 * _GIB, id="units:193993800-x^2"),
 ]
 
 
-@pytest.mark.parametrize("space_text,map_text", _AT_CAP)
-def test_image_table_at_the_cap_fits_in_two_gib(space_text, map_text):
+@pytest.mark.parametrize("space_text,map_text,limit", _AT_CAP)
+def test_image_table_at_the_cap_fits_in_two_gib(space_text, map_text, limit):
     space = spaces.parse_space(space_text)
     expr = parse_map(map_text)
     assert space.size > (1 << 25) - (1 << 20)
@@ -437,7 +459,7 @@ def test_image_table_at_the_cap_fits_in_two_gib(space_text, map_text):
         "assert table.shape == (space.size,)\n"
         f"print(json.dumps(table[{indices!r}].tolist()))\n"
     )
-    got = json.loads(run_under_address_limit(code, 2 << 30))
+    got = json.loads(run_under_address_limit(code, limit))
     assert_matches_oracle(dict(zip(indices, got)), expr, space, indices)
 
 

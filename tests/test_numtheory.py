@@ -74,9 +74,13 @@ def test_proper_divisor_sum_matches_enumeration(x):
 
 
 def test_divisor_sum_table_matches_scalar():
-    table = nt.proper_divisor_sums_upto(500)
-    for x in range(500):
-        assert table[x] == nt.proper_divisor_sum(x)
+    # whole ranges from 0, and ranges that start at, past and just below a
+    # square, where the divisor sqrt(x) counts once
+    for start, stop in [(0, 500), (0, 0), (0, 1), (0, 2), (1, 3), (24, 26),
+                        (25, 26), (48, 50), (120, 121), (9000, 9400),
+                        (999_900, 1_000_100)]:
+        table = nt.proper_divisor_sums(start, stop)
+        assert table.tolist() == [nt.proper_divisor_sum(x) for x in range(start, stop)]
 
 
 def test_is_primitive_root_examples():

@@ -106,12 +106,26 @@ def test_index_bijection_roundtrip(space):
     assert len(seen) == space.size  # pairwise distinct payloads
     payloads = [s.payload for s in enumerate_states(space)]
     assert space.payloads() == payloads
-    if isinstance(space, DigitSpace):
-        # the place-value layout, one index at a time and as whole columns
-        assert [space.digits(i) for i in range(space.size)] == payloads
-        assert [space.pack(p) for p in payloads] == list(range(space.size))
-        columns = space.digits(np.arange(space.size, dtype=np.int64))
-        assert np.array_equal(space.pack(columns), np.arange(space.size))
+    # the layout, one index at a time and as whole columns
+    rows = payloads if isinstance(space, DigitSpace) else [(p,) for p in payloads]
+    assert [tuple(space.digits(i)) for i in range(space.size)] == rows
+    assert [space.pack(r) for r in rows] == list(range(space.size))
+    columns = space.digits(np.arange(space.size, dtype=np.int64))
+    assert np.array_equal(space.pack(columns), np.arange(space.size))
+
+
+@pytest.mark.parametrize(
+    "space", [Zn(12), ZnNonzero(12), ZnFromTwo(12), ZnUnits(12), ZnUnits(1), ZnNonzero(2)]
+)
+def test_residue_pack_marks_escapes(space):
+    residues = np.arange(space.n, dtype=np.int64)
+    want = []
+    for r in range(space.n):
+        try:
+            want.append(payload_to_index(space, r))
+        except ValueError:
+            want.append(-1)
+    assert space.pack((residues,)).tolist() == want
 
 
 def test_units_equal_nonzero_for_primes():
