@@ -37,12 +37,10 @@ from .maps import (
     preset,
 )
 from .graphs import (
-    GraphSpec,
     SimpleGraph,
     build_graph,
     export_dot,
     export_edge_list,
-    neighbors,
 )
 from .metrics import (
     StatsReport,
@@ -51,7 +49,6 @@ from .metrics import (
     degree_stats,
     euler_characteristic,
     full_report,
-    is_connected,
     k4_free,
     lambda_coefficient,
     triangle_count,

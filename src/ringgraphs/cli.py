@@ -16,7 +16,7 @@ from . import __version__, survey
 from .graphs import build_graph, export_dot, export_edge_list
 from .maps import MapFamily, parse_maps
 from .metrics import full_report
-from .spaces import parse_space
+from .spaces import SPACE_KINDS, ResidueSpace, parse_space
 from .survey import (
     ca_mandelbrot,
     connectivity_locus,
@@ -24,14 +24,15 @@ from .survey import (
     permutation_lambda,
     to_pbm,
 )
-from .verify import CLAIM_IDS, run_claim
+from .verify import CLAIM_IDS, CLAIMS, run_claim
 
 SCAN_KINDS = ("locus", "ca-mandelbrot", "euler-seq", "perm-lambda", "artin-census")
 
-_LOCUS_START = {"zn": 1, "znz": 2, "units": 1, "from2": 3}
-
 # header keys that reappear as positional CLI arguments
 _POSITIONAL_KEYS = ("claim", "kind")
+
+# run_claim parameters whose verify flag is spelt differently
+_VERIFY_FLAGS = {"n_max": "nmax", "p_max": "pmax", "space_kind": "space-kind"}
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,15 @@ class RunConfig:
 
 
 def _write(path: str | None, body: str, config: RunConfig) -> None:
-    header = config.header_lines()
-    if path is None:
-        sys.stdout.write("".join(f"# {h}\n" for h in header) + body)
-        return
-    if path.endswith(".dot"):
-        text = "".join(f"// {h}\n" for h in header) + body
-    elif path.endswith(".pbm"):
-        text = body  # header already embedded after the magic number
+    """Write body with the header of config to path, or to stdout."""
+    if body.startswith("P1\n"):
+        text = body  # a PBM carries its header after the magic number
     else:
-        text = "".join(f"# {h}\n" for h in header) + body
+        mark = "//" if path is not None and path.endswith(".dot") else "#"
+        text = "".join(f"{mark} {h}\n" for h in config.header_lines()) + body
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -135,27 +135,22 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    header = []
-    if args.nmax is not None:
-        kwargs["n_max"] = args.nmax
-        header.append(("nmax", str(args.nmax)))
-    if args.pmax is not None:
-        kwargs["p_max"] = args.pmax
-        header.append(("pmax", str(args.pmax)))
-    if args.claim == "power-pair":
-        kwargs["a"] = args.a
-        kwargs["b"] = args.b
-        header += [("a", str(args.a)), ("b", str(args.b))]
-    if args.claim == "pierpont":
-        kwargs["space_kind"] = args.space_kind
-        header.append(("space-kind", args.space_kind))
-    if args.claim == "fermat" and args.extras is not None:
-        extras = tuple(int(v) for v in args.extras.split(",") if v.strip())
-        kwargs["extras"] = extras
-        header.append(("extras", ",".join(str(v) for v in extras)))
+    takes = CLAIMS[args.claim][1]
+    extras = args.extras
+    if extras is not None:
+        extras = tuple(int(v) for v in extras.split(",") if v.strip())
+    # a, b and space-kind have parser defaults, so they go only to the claims
+    # that take them; the other options go whenever they are given
+    given = {"n_max": args.nmax, "p_max": args.pmax}
+    given.update((k, getattr(args, k)) for k in ("a", "b", "space_kind") if k in takes)
+    given["extras"] = extras
+    kwargs = {k: v for k, v in given.items() if v is not None}
     verdict = run_claim(args.claim, **kwargs)
-    config = RunConfig("verify", (("claim", args.claim),) + tuple(header))
+    header = tuple(
+        (_VERIFY_FLAGS.get(k, k), ",".join(map(str, v)) if k == "extras" else str(v))
+        for k, v in kwargs.items()
+    )
+    config = RunConfig("verify", (("claim", args.claim),) + header)
     _write(args.out, verdict.to_line() + "\n", config)
     if args.out is not None:
         print(verdict.to_line())
@@ -165,13 +160,14 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     kind = args.kind
     if kind == "locus":
-        start = _LOCUS_START.get(args.space_kind)
-        if start is None:
+        space_cls = SPACE_KINDS.get(args.space_kind)
+        if space_cls is None or not issubclass(space_cls, ResidueSpace):
             raise ValueError(f"locus scans sweep residue spaces, not {args.space_kind!r}")
         if args.maps is None:
             raise ValueError("locus scans need --maps")
         maps = parse_maps(args.maps)
-        result = connectivity_locus(maps, args.space_kind, range(start, args.nmax + 1))
+        ns = range(space_cls.first + 1, args.nmax + 1)
+        result = connectivity_locus(maps, args.space_kind, ns)
         config = RunConfig(
             "scan",
             (
@@ -187,12 +183,7 @@ def cmd_scan(args) -> int:
         print(f"workers={workers}", file=sys.stderr)
         result = ca_mandelbrot(args.width, workers=workers)
         config = RunConfig("scan", (("kind", kind), ("width", str(args.width))))
-        body = to_pbm(result, tuple(config.header_lines()))
-        if args.out is None:
-            sys.stdout.write(body)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body)
+        _write(args.out, to_pbm(result, tuple(config.header_lines())), config)
     elif kind == "euler-seq":
         seq = euler_sequence(args.nmax)
         body = "n,euler_char\n" + "".join(
@@ -248,11 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("claim", choices=CLAIM_IDS)
     ver.add_argument("--nmax", type=int)
     ver.add_argument("--pmax", type=int)
-    ver.add_argument("--a", type=int, default=2, help="first exponent (power-pair)")
-    ver.add_argument("--b", type=int, default=5, help="second exponent (power-pair)")
+    pair = CLAIMS["power-pair"][1]
+    ver.add_argument("--a", type=int, default=pair["a"], help="first exponent (power-pair)")
+    ver.add_argument("--b", type=int, default=pair["b"], help="second exponent (power-pair)")
     ver.add_argument(
-        "--space-kind", choices=("znz", "from2"), default="znz",
-        help="vertex set reading for pierpont",
+        "--space-kind", choices=("znz", "from2"),
+        default=CLAIMS["pierpont"][1]["space_kind"], help="vertex set reading for pierpont",
     )
     ver.add_argument("--extras", help="comma-separated extra n values (fermat)")
     ver.add_argument("--out")

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .maps import MapFamily, image_table
-from .spaces import SIZE_CAP, StateSpace
+from .spaces import SIZE_CAP
 
 
 @dataclass(frozen=True)
@@ -40,23 +40,6 @@ class SimpleGraph:
         src = np.repeat(np.arange(self.vertex_count, dtype=np.int32), self.degrees())
         mask = src < self.indices
         return src[mask], self.indices[mask]
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """A space, the family acting on it, and a textual provenance record."""
-
-    space: StateSpace
-    family: MapFamily
-    provenance: str
-
-    def __post_init__(self):
-        if self.family.space != self.space:
-            raise ValueError("family acts on a different space")
-
-    @classmethod
-    def of(cls, family: MapFamily) -> "GraphSpec":
-        return cls(family.space, family, family.provenance())
 
 
 def graph_from_edges(vertex_count: int, us, vs) -> SimpleGraph:
@@ -105,10 +88,9 @@ def neighbour_table(tables: list[np.ndarray], offset=0) -> np.ndarray:
     return table
 
 
-def build_graph(spec: GraphSpec | MapFamily) -> SimpleGraph:
+def build_graph(family: MapFamily) -> SimpleGraph:
     """Vertex i ~ vertex j (i != j) iff some map sends state i to state j or
     state j to state i."""
-    family = spec.family if isinstance(spec, GraphSpec) else spec
     space = family.space
     if space.size > SIZE_CAP:
         raise ValueError(f"space {space.spec()} above the {SIZE_CAP}-state cap")
@@ -118,13 +100,6 @@ def build_graph(spec: GraphSpec | MapFamily) -> SimpleGraph:
     indptr = np.arange(0, table.size + 1, len(family.maps))
     shape = (space.size, space.size)
     return _simple_graph(csr_matrix((moves.ravel(), table.ravel(), indptr), shape=shape))
-
-
-def neighbors(g: SimpleGraph, v: int) -> list[int]:
-    """Sorted, duplicate-free neighbor list; never contains v."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
-    return [int(x) for x in g.neighbor_array(v)]
 
 
 # edges per ASCII matrix in _edge_lines; bounds its memory at a few MB

@@ -42,7 +42,6 @@ class StatsReport:
     vertices: int
     edges: int
     components: int
-    component_sizes: tuple[int, ...]
     diameter: int
     mu: float | None
     nu_local: float
@@ -51,7 +50,6 @@ class StatsReport:
     triangles: int
     euler_char: int
     mean_degree: float
-    degree_histogram: tuple[int, ...]
     sampled_sources: int | None = None
 
     def to_json(self) -> str:
@@ -132,10 +130,6 @@ def _block_counts(chunk: list) -> np.ndarray:
     owner = np.empty(count, dtype=np.int64)
     owner[labels] = block  # no component spans two blocks
     return np.bincount(owner, minlength=len(chunk))
-
-
-def is_connected(g: SimpleGraph) -> bool:
-    return components(g)[0] == 1
 
 
 def _largest_component(g: SimpleGraph, labels: np.ndarray | None = None) -> np.ndarray:
@@ -265,11 +259,11 @@ def triangle_count(g: SimpleGraph) -> int:
     return int(common.sum()) // 3
 
 
-def _clustering_core(g: SimpleGraph, commons=None) -> tuple[float, float, int]:
+def _clustering_core(g: SimpleGraph) -> tuple[float, float, int]:
     """(nu_local, nu_transitivity, triangles) from one common-neighbor pass."""
     if g.vertex_count == 0:
         return 0.0, 0.0, 0
-    us, vs, common = commons if commons is not None else _edge_triangle_counts(g)
+    us, vs, common = _edge_triangle_counts(g)
     twice_triangles = np.zeros(g.vertex_count, dtype=np.int64)
     np.add.at(twice_triangles, us, common)
     np.add.at(twice_triangles, vs, common)
@@ -341,17 +335,15 @@ def full_report(
     if nu_estimator not in ("local", "transitivity"):
         raise ValueError("nu estimator must be 'local' or 'transitivity'")
     count, labels = components(g)
-    sizes = tuple(int(c) for c in sorted(np.bincount(labels, minlength=count), reverse=True))
     diam, mu, sampled = _distance_scan(g, seed=sample_seed, labels=labels)
     nu_local, nu_trans, triangles = _clustering_core(g)
-    mean_deg, hist = degree_stats(g)
+    mean_deg, _ = degree_stats(g)
     nu = nu_local if nu_estimator == "local" else nu_trans
     lam = lambda_coefficient(mu, nu) if mu is not None else None
     return StatsReport(
         vertices=g.vertex_count,
         edges=g.edge_count,
         components=count,
-        component_sizes=sizes,
         diameter=diam,
         mu=mu,
         nu_local=nu_local,
@@ -360,6 +352,5 @@ def full_report(
         triangles=triangles,
         euler_char=g.vertex_count - g.edge_count + triangles,
         mean_degree=mean_deg,
-        degree_histogram=hist,
         sampled_sources=sampled,
     )

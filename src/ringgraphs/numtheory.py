@@ -36,12 +36,6 @@ def _sieve() -> np.ndarray:
     return _spf
 
 
-def sieve_primes() -> np.ndarray:
-    """All primes below 2^20, ascending (read-only view)."""
-    _sieve()
-    return _sieve_primes
-
-
 def primes_up_to(limit: int) -> np.ndarray:
     """Ascending array of primes <= limit (plain Boolean sieve)."""
     if limit < 2:
@@ -139,12 +133,6 @@ class PrimeFactorization:
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

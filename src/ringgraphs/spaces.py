@@ -10,7 +10,7 @@ vector spaces carry 0/1 tuples.  All spaces are immutable and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,8 @@ SIZE_CAP = 1 << 25
 
 
 class StateSpace:
-    """Base class; subclasses define size, digits, pack and spec.
+    """Base class; subclasses are dataclasses that define kind, size, digits
+    and pack.
 
     `digits` and `pack` take an int or an int64 array of indices and
     columns alike, so one layout serves single states and whole tables."""
@@ -45,7 +46,8 @@ class StateSpace:
         return list(zip(*(c.tolist() for c in self.digits(np.arange(self.size, dtype=np.int64)))))
 
     def spec(self) -> str:
-        raise NotImplementedError
+        """The specifier parse_space reads back: the kind, then each field."""
+        return ":".join([self.kind] + [str(getattr(self, f.name)) for f in fields(self)])
 
     def _check_cap(self, size: int | None = None) -> None:
         size = self.size if size is None else size
@@ -58,16 +60,23 @@ class StateSpace:
 class ResidueSpace(StateSpace):
     """Subsets of Z_n; payloads are integers in [0, n).  `pack` takes
     residues already reduced mod n and gives -1 for a residue outside the
-    space (an escape)."""
+    space (an escape).
+
+    The space needs n > first, so first + 1 is the smallest modulus of its
+    kind."""
 
     n: int
+    first = 0
+    too_small = "n must be >= 1"  # the error for n <= first
+
+    def __post_init__(self):
+        if self.n <= self.first:
+            raise ValueError(self.too_small)
+        self._check_cap()
 
     def payloads(self) -> list:
         """Every member residue in index order."""
         return self.digits(np.arange(self.size, dtype=np.int64))[0].tolist()
-
-    def spec(self) -> str:
-        return f"{self.kind}:{self.n}"
 
 
 @dataclass(frozen=True)
@@ -75,13 +84,6 @@ class _ResidueRun(ResidueSpace):
     """The residues first, first+1, ..., n-1 in order."""
 
     n: int
-    first = 0
-    too_small = ""  # the error for n <= first
-
-    def __post_init__(self):
-        if self.n <= self.first:
-            raise ValueError(self.too_small)
-        self._check_cap()
 
     @property
     def size(self) -> int:
@@ -96,7 +98,7 @@ class _ResidueRun(ResidueSpace):
 
 
 class Zn(_ResidueRun):
-    kind, first, too_small = "zn", 0, "n must be >= 1"
+    kind = "zn"
 
 
 class ZnNonzero(_ResidueRun):
@@ -111,11 +113,6 @@ class ZnFromTwo(_ResidueRun):
 class ZnUnits(ResidueSpace):
     n: int
     kind = "units"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        self._check_cap()
 
     @property
     def size(self) -> int:
@@ -186,9 +183,6 @@ class Mat2(DigitSpace):
     def places(self) -> tuple[int, ...]:
         return (self.n**3, self.n**2, self.n, 1)
 
-    def spec(self) -> str:
-        return f"mat2:{self.n}"
-
 
 @dataclass(frozen=True)
 class UpperTri2(DigitSpace):
@@ -209,9 +203,6 @@ class UpperTri2(DigitSpace):
     @property
     def places(self) -> tuple[int, ...]:
         return (self.n**2, self.n, 0, 1)
-
-    def spec(self) -> str:
-        return f"ut2:{self.n}"
 
 
 @dataclass(frozen=True)
@@ -235,9 +226,6 @@ class PolyQuot(DigitSpace):
     def places(self) -> tuple[int, ...]:
         return tuple(self.n**j for j in range(self.k))
 
-    def spec(self) -> str:
-        return f"poly:{self.n}:{self.k}"
-
 
 @dataclass(frozen=True)
 class BitVec(DigitSpace):
@@ -260,32 +248,27 @@ class BitVec(DigitSpace):
     def places(self) -> tuple[int, ...]:
         return tuple(1 << (self.width - 1 - i) for i in range(self.width))
 
-    def spec(self) -> str:
-        return f"bits:{self.width}"
+
+SPACE_KINDS = {
+    cls.kind: cls
+    for cls in (Zn, ZnNonzero, ZnUnits, ZnFromTwo, Mat2, UpperTri2, PolyQuot, BitVec)
+}
 
 
 def parse_space(text: str) -> StateSpace:
-    """Parse a textual space specifier: zn:N, znz:N, units:N, from2:N,
-    mat2:N, ut2:N, poly:N:K, bits:W."""
+    """Parse a textual space specifier, the kind then one integer per field
+    of its class: zn:N, znz:N, units:N, from2:N, mat2:N, ut2:N, poly:N:K,
+    bits:W."""
     parts = text.strip().split(":")
     kind = parts[0]
     try:
         args = [int(p) for p in parts[1:]]
     except ValueError as exc:
         raise ValueError(f"bad space specifier {text!r}: {exc}") from None
-    table = {
-        "zn": (Zn, 1),
-        "znz": (ZnNonzero, 1),
-        "units": (ZnUnits, 1),
-        "from2": (ZnFromTwo, 1),
-        "mat2": (Mat2, 1),
-        "ut2": (UpperTri2, 1),
-        "poly": (PolyQuot, 2),
-        "bits": (BitVec, 1),
-    }
-    if kind not in table:
+    if kind not in SPACE_KINDS:
         raise ValueError(f"unknown space kind {kind!r} in {text!r}")
-    cls, arity = table[kind]
+    cls = SPACE_KINDS[kind]
+    arity = len(fields(cls))
     if len(args) != arity:
         raise ValueError(f"space kind {kind!r} takes {arity} integer argument(s)")
     return cls(*args)

@@ -1,18 +1,21 @@
 """Executable checks comparing graph-side computation against the
 number-theoretic prediction for each connectivity/triangle claim.
 
-The graph side of every check uses only the graph construction and metrics
-modules; the prediction side uses only the integer predicates, so the two
-routes share no code.
+The graph side of every connectivity claim is survey.connectivity_locus,
+the scan that `ringgraphs scan locus` prints; the triangle and matrix
+claims build their graphs with the graph construction and metrics modules.
+The prediction side uses only the integer predicates, so the two routes
+share no code.  CLAIMS declares each claim once: its checker and the
+parameters it takes, with their defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import build_graph, image_tables
+from .graphs import build_graph
 from .maps import Affine, MapFamily, MatQuad, PowerPlus, preset
-from .metrics import component_counts, components, triangle_count
+from .metrics import components, triangle_count
 from .numtheory import (
     factorize,
     is_fermat_prime,
@@ -23,19 +26,8 @@ from .numtheory import (
     smooth_set,
     double_smooth_set,
 )
-from .spaces import Mat2, UpperTri2, Zn, ZnNonzero, ZnFromTwo
-
-CLAIM_IDS = (
-    "lemma1",
-    "artin",
-    "fermat",
-    "collatz-triangles",
-    "pierpont",
-    "power-pair",
-    "affine-table",
-    "collatz-connected",
-    "matrix-example",
-)
+from .spaces import SPACE_KINDS, Mat2, UpperTri2
+from .survey import connectivity_locus
 
 # primes up to 103 with / without 2 as a primitive root (so: connected /
 # disconnected doubling graphs on the nonzero residues)
@@ -110,10 +102,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-def _connected(maps: tuple, space_cls, ns) -> list[bool]:
-    """Whether the graph of maps on space_cls(n) is connected, for each n."""
-    families = (MapFamily(maps, space_cls(n)) for n in ns)
-    return (component_counts(image_tables(f) for f in families) == 1).tolist()
+def _connected(maps: tuple, kind: str, ns) -> list[bool]:
+    """Whether the graph of maps on the space kind:n is connected, for each
+    n; read off the locus scan (pierpont on from2 at n_max = 2 has no n)."""
+    counts = connectivity_locus(maps, kind, ns).component_counts if ns else ()
+    return [c == 1 for c in counts]
 
 
 def _tally(ns, got, predicate) -> tuple[int, list]:
@@ -128,7 +121,7 @@ def verify_lemma1(n_max: int) -> Verdict:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ns = range(2, n_max + 1)
-    got = _connected((Affine(2, 0),), Zn, ns)
+    got = _connected((Affine(2, 0),), "zn", ns)
     agree, bad = _tally(ns, got, _is_power_of_two)
     return Verdict("lemma1", f"2..{n_max}", agree, tuple(bad))
 
@@ -140,7 +133,7 @@ def verify_artin(p_max: int) -> Verdict:
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
     ns = range(2, p_max + 1)
-    got = _connected((Affine(2, 0),), ZnNonzero, ns)
+    got = _connected((Affine(2, 0),), "znz", ns)
     agree, bad = _tally(
         ns,
         got,
@@ -168,7 +161,7 @@ def verify_fermat(n_max: int, extras=(65537,)) -> Verdict:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ns = list(range(2, n_max + 1)) + [int(e) for e in extras]
-    got = _connected((PowerPlus(2, 0),), ZnNonzero, ns)
+    got = _connected((PowerPlus(2, 0),), "znz", ns)
     agree, bad = _tally(ns, got, lambda n: n == 2 or is_fermat_prime(n))
     extra_txt = f"+{list(extras)}" if extras else ""
     return Verdict("fermat", f"2..{n_max}{extra_txt}", agree, tuple(bad))
@@ -200,10 +193,11 @@ def verify_pierpont(n_max: int, space_kind: str = "znz") -> Verdict:
     prime with n-1 smooth over {2,3}; also pins the frozen list to 577."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    space_cls = {"znz": ZnNonzero, "from2": ZnFromTwo}[space_kind]
-    start = 2 if space_kind == "znz" else 3
+    if space_kind not in ("znz", "from2"):
+        raise ValueError(f"pierpont sweeps znz or from2, not {space_kind!r}")
+    start = SPACE_KINDS[space_kind].first + 1
     ns = range(start, n_max + 1)
-    got = _connected((PowerPlus(2, 0), PowerPlus(3, 0)), space_cls, ns)
+    got = _connected((PowerPlus(2, 0), PowerPlus(3, 0)), space_kind, ns)
     agree, bad = _tally(ns, got, lambda n: is_one_plus_smooth_prime(n, {2, 3}))
     connected = [n for n, g in zip(ns, got) if g]
     if space_kind == "znz" and n_max >= 577:
@@ -213,25 +207,19 @@ def verify_pierpont(n_max: int, space_kind: str = "znz") -> Verdict:
     return Verdict("pierpont", f"{start}..{n_max} on {space_kind}", agree, tuple(bad))
 
 
-def verify_power_pair(a: int, b: int, n_max: int, prime_set=None) -> Verdict:
+def verify_power_pair(a: int, b: int, n_max: int) -> Verdict:
     """The (x^a, x^b) graph on nonzero residues is connected iff n is prime
     and n-1 is smooth over the prime factors of a and b."""
     if a < 2 or b < 2:
         raise ValueError("exponents must be >= 2")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if prime_set is None:
-        prime_set = set(factorize(a).primes()) | set(factorize(b).primes())
+    prime_set = set(factorize(a).primes()) | set(factorize(b).primes())
     ns = range(2, n_max + 1)
-    got = _connected((PowerPlus(a, 0), PowerPlus(b, 0)), ZnNonzero, ns)
+    got = _connected((PowerPlus(a, 0), PowerPlus(b, 0)), "znz", ns)
     agree, bad = _tally(ns, got, lambda n: is_one_plus_smooth_prime(n, prime_set))
     ps = "{" + ",".join(str(p) for p in sorted(prime_set)) + "}"
     return Verdict("power-pair", f"x^{a},x^{b},P={ps},2..{n_max}", agree, tuple(bad))
-
-
-def _affine_connected_set(a: int, b: int, n_max: int) -> list[int]:
-    ns = range(1, n_max + 1)
-    return [n for n, g in zip(ns, _connected((Affine(a, b),), Zn, ns)) if g]
 
 
 def verify_affine_table(n_max: int, containment_max: int | None = None) -> Verdict:
@@ -244,10 +232,11 @@ def verify_affine_table(n_max: int, containment_max: int | None = None) -> Verdi
     if containment_max is None:
         containment_max = max(n_max, 500)
     agree, bad = 0, []
+    ns = range(1, containment_max + 1)
     for a in range(2, 9):
         allowed = set(factorize(a).primes()) | set(factorize(a - 1).primes())
         for b in range(a):
-            conn = _affine_connected_set(a, b, containment_max)
+            conn = connectivity_locus((Affine(a, b),), "zn", ns).connected_params()
             if (a, b) in AFFINE_TABLE:
                 primes, doubled = AFFINE_TABLE[(a, b)]
                 maker = double_smooth_set if doubled else smooth_set
@@ -274,7 +263,7 @@ def verify_collatz_connected(n_max: int) -> Verdict:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ns = range(2, n_max + 1)
-    got = _connected((Affine(2, 0), Affine(3, 1)), Zn, ns)
+    got = _connected((Affine(2, 0), Affine(3, 1)), "zn", ns)
     bad = [n for n, g in zip(ns, got) if not g]
     agree = len(ns) - len(bad)
     return Verdict("collatz-connected", f"2..{n_max}", agree, tuple(bad))
@@ -296,29 +285,29 @@ def upper_triangular_component_count(n: int) -> int:
     return components(build_graph(family))[0]
 
 
+# claim id -> (checker, {parameter: default}); run_claim and the verify
+# command both read it
+CLAIMS = {
+    "lemma1": (verify_lemma1, {"n_max": 4096}),
+    "artin": (verify_artin, {"p_max": 2000}),
+    "fermat": (verify_fermat, {"n_max": 1000, "extras": (65537,)}),
+    "collatz-triangles": (verify_collatz_triangles, {"p_max": 499}),
+    "pierpont": (verify_pierpont, {"n_max": 600, "space_kind": "znz"}),
+    "power-pair": (verify_power_pair, {"a": 2, "b": 5, "n_max": 101}),
+    "affine-table": (verify_affine_table, {"n_max": 200}),
+    "collatz-connected": (verify_collatz_connected, {"n_max": 20000}),
+    "matrix-example": (verify_matrix_example, {}),
+}
+CLAIM_IDS = tuple(CLAIMS)
+
+
 def run_claim(claim_id: str, **kwargs) -> Verdict:
-    """Dispatch a claim id from CLAIM_IDS with its keyword parameters."""
-    table = {
-        "lemma1": lambda: verify_lemma1(kwargs.get("n_max", 4096)),
-        "artin": lambda: verify_artin(kwargs.get("p_max", 2000)),
-        "fermat": lambda: verify_fermat(
-            kwargs.get("n_max", 1000), kwargs.get("extras", (65537,))
-        ),
-        "collatz-triangles": lambda: verify_collatz_triangles(
-            kwargs.get("p_max", 499)
-        ),
-        "pierpont": lambda: verify_pierpont(
-            kwargs.get("n_max", 600), kwargs.get("space_kind", "znz")
-        ),
-        "power-pair": lambda: verify_power_pair(
-            kwargs.get("a", 2), kwargs.get("b", 5), kwargs.get("n_max", 101)
-        ),
-        "affine-table": lambda: verify_affine_table(kwargs.get("n_max", 200)),
-        "collatz-connected": lambda: verify_collatz_connected(
-            kwargs.get("n_max", 20000)
-        ),
-        "matrix-example": lambda: verify_matrix_example(),
-    }
-    if claim_id not in table:
+    """Run a claim of CLAIMS with its keyword parameters, defaults filled
+    in; a parameter the claim does not take is a ValueError."""
+    if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim id {claim_id!r}; expected one of {CLAIM_IDS}")
-    return table[claim_id]()
+    checker, defaults = CLAIMS[claim_id]
+    for name in kwargs:
+        if name not in defaults:
+            raise ValueError(f"claim {claim_id} takes no {name}")
+    return checker(**{**defaults, **kwargs})

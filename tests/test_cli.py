@@ -139,20 +139,24 @@ def test_header_reproduces_run(tmp_path):
 
 
 def test_run_config_roundtrips_through_output(tmp_path):
-    # the parsed config of any output file reproduces that file exactly
+    # the parsed config of any output file reproduces that file exactly; the
+    # header follows the body, not the suffix, so a .pbm file that is not a
+    # P1 bitmap starts with it too
     cases = [
-        ["stats", "--space", "zn:40", "--maps", "2x,3x+1"],
-        ["verify", "pierpont", "--nmax", "40", "--space-kind", "znz"],
-        ["verify", "power-pair", "--a", "2", "--b", "5", "--nmax", "30"],
-        ["scan", "locus", "--maps", "3x+1", "--space-kind", "zn", "--nmax", "20"],
-        ["scan", "perm-lambda", "--n", "30", "--trials", "3", "--seed", "9"],
-        ["gen", "--space", "zn:12", "--maps", "x^2"],
+        (["stats", "--space", "zn:40", "--maps", "2x,3x+1"], ".out"),
+        (["verify", "pierpont", "--nmax", "40", "--space-kind", "znz"], ".out"),
+        (["verify", "power-pair", "--a", "2", "--b", "5", "--nmax", "30"], ".out"),
+        (["scan", "locus", "--maps", "3x+1", "--space-kind", "zn", "--nmax", "20"], ".out"),
+        (["scan", "perm-lambda", "--n", "30", "--trials", "3", "--seed", "9"], ".out"),
+        (["gen", "--space", "zn:12", "--maps", "x^2"], ".out"),
+        (["scan", "locus", "--maps", "3x+1", "--space-kind", "zn", "--nmax", "20"], ".pbm"),
+        (["gen", "--space", "zn:12", "--maps", "x^2"], ".pbm"),
     ]
-    for i, argv in enumerate(cases):
-        first = tmp_path / f"first{i}.out"
+    for i, (argv, suffix) in enumerate(cases):
+        first = tmp_path / f"first{i}{suffix}"
         run(argv + ["--out", str(first)])
         config = cli.RunConfig.from_output(read(first))
-        second = tmp_path / f"second{i}.out"
+        second = tmp_path / f"second{i}{suffix}"
         assert run(config.to_args() + ["--out", str(second)]) in (0, 2)
         assert read(first) == read(second), argv
 
@@ -175,6 +179,38 @@ def test_verify_fail_exit_two(tmp_path):
 def test_verify_power_pair_flags(capsys):
     assert run(["verify", "power-pair", "--a", "2", "--b", "5", "--nmax", "60"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["verify", "artin", "--nmax", "50"], "n_max"),
+        (["verify", "lemma1", "--pmax", "50"], "p_max"),
+        (["verify", "lemma1", "--extras", "5"], "extras"),
+        (["verify", "fermat", "--pmax", "9"], "p_max"),
+        (["verify", "matrix-example", "--nmax", "7"], "n_max"),
+    ],
+)
+def test_verify_rejects_a_flag_its_claim_does_not_take(tmp_path, capsys, argv, name):
+    out = tmp_path / "v.txt"
+    assert run(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: claim {argv[1]} takes no {name}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "claim,recorded",
+    [("power-pair", {"a": "2", "b": "5"}), ("pierpont", {"space-kind": "znz"})],
+)
+def test_verify_header_records_the_claim_defaults(tmp_path, claim, recorded):
+    out = tmp_path / "v.txt"
+    assert run(["verify", claim, "--nmax", "40", "--out", str(out)]) == 0
+    header, _ = split_header(read(out))
+    assert {k: header[k] for k in recorded} == recorded
+    other_claims_flags = {"a", "b", "space-kind"} - recorded.keys()
+    assert not other_claims_flags & header.keys()
 
 
 def test_verify_unknown_claim_rejected():
@@ -202,6 +238,33 @@ def test_scan_locus(tmp_path):
     assert lines[0] == "param,components,connected"
     connected = [int(l.split(",")[0]) for l in lines[1:] if l.endswith(",1")]
     assert connected == [1, 2, 3, 6, 9, 18, 27]
+
+
+@pytest.mark.parametrize("kind,start", [("zn", 1), ("znz", 2), ("units", 1), ("from2", 3)])
+def test_scan_locus_starts_at_the_smallest_modulus(capsys, kind, start):
+    assert run(["scan", "locus", "--maps", "x^2", "--space-kind", kind, "--nmax", "8"]) == 0
+    _, body = split_header(capsys.readouterr().out)
+    params = [int(line.split(",")[0]) for line in body.splitlines()[1:]]
+    assert params == list(range(start, 9))
+
+
+@pytest.mark.parametrize("kind", ["mat2", "foo"])
+def test_scan_locus_rejects_a_space_kind_that_is_not_a_residue_space(capsys, kind):
+    assert run(["scan", "locus", "--maps", "x^2", "--space-kind", kind]) == 1
+    assert capsys.readouterr().err == (
+        f"error: locus scans sweep residue spaces, not {kind!r}\n"
+    )
+
+
+def test_scan_ca_mandelbrot_to_stdout_matches_the_file(tmp_path, capsys):
+    out = tmp_path / "m.pbm"
+    argv = ["scan", "ca-mandelbrot", "--width", "3", "--workers", "1"]
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == read(out)
+    config = cli.RunConfig.from_output(read(out))
+    assert config.fields == (("kind", "ca-mandelbrot"), ("width", "3"))
 
 
 def test_scan_perm_lambda_reproducible(tmp_path):

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from ringgraphs import graphs, maps, metrics, spaces
-from ringgraphs.graphs import (
-    GraphSpec,
-    build_graph,
-    export_dot,
-    export_edge_list,
-    graph_from_edges,
-    neighbors,
-)
+from ringgraphs.graphs import build_graph, export_dot, export_edge_list, graph_from_edges
 from ringgraphs.maps import Affine, MapFamily, PowerPlus, preset
 from ringgraphs.spaces import Zn
 
@@ -22,7 +15,7 @@ from oracles import enumerate_states
 def test_doubling_on_z4():
     g = build_graph(MapFamily((Affine(2, 0),), Zn(4)))
     assert graph_edges(g) == {(0, 2), (1, 2), (2, 3)}
-    assert metrics.is_connected(g)
+    assert metrics.components(g)[0] == 1
 
 
 def test_doubling_on_z6_components():
@@ -36,13 +29,11 @@ def test_doubling_on_z6_components():
 
 def test_neighbors():
     g = build_graph(MapFamily((Affine(2, 0),), Zn(4)))
-    assert neighbors(g, 2) == [0, 1, 3]
+    assert g.neighbor_array(2).tolist() == [0, 1, 3]
     single = graph_from_edges(1, [], [])
-    assert neighbors(single, 0) == []
+    assert single.neighbor_array(0).tolist() == []
     k3 = graph_from_edges(3, [0, 0, 1], [1, 2, 2])
-    assert neighbors(k3, 0) == [1, 2]
-    with pytest.raises(ValueError):
-        neighbors(k3, 3)
+    assert k3.neighbor_array(0).tolist() == [1, 2]
 
 
 def test_export_edge_list():
@@ -65,15 +56,6 @@ def test_export_dot():
     assert doc4.count(" -- ") == 3
     assert export_dot(g) == export_dot(g)  # byte determinism
     assert export_edge_list(g) == export_edge_list(g)
-
-
-def test_graph_spec_wiring():
-    fam = preset("collatz", 13)
-    spec = GraphSpec.of(fam)
-    assert spec.provenance == "2x,3x+1"
-    assert graph_edges(build_graph(spec)) == graph_edges(build_graph(fam))
-    with pytest.raises(ValueError):
-        GraphSpec(Zn(14), fam, "mismatch")
 
 
 def test_loops_dropped_and_images_deduplicated():

@@ -118,7 +118,6 @@ def test_full_report_k3(triangle_graph):
     assert rep.nu_local == 1.0
     assert rep.lam is None  # nu = 1 leaves lambda undefined
     assert rep.components == 1
-    assert rep.component_sizes == (3,)
     assert rep.sampled_sources is None
 
 

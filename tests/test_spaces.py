@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from ringgraphs.spaces import (
+    SPACE_KINDS,
     BitVec,
     DigitSpace,
     Mat2,
@@ -153,6 +156,15 @@ def test_index_of_checks_space_identity():
         index_of(Zn(5), State(Zn(6), 3))
 
 
+def test_residue_kinds_start_at_first_plus_one():
+    # first + 1 is the smallest modulus the constructor accepts
+    for cls in (Zn, ZnNonzero, ZnFromTwo, ZnUnits):
+        cls(cls.first + 1)
+        with pytest.raises(ValueError):
+            cls(cls.first)
+    assert [c.first + 1 for c in (Zn, ZnNonzero, ZnUnits, ZnFromTwo)] == [1, 2, 1, 3]
+
+
 def test_parse_space():
     assert parse_space("zn:31") == Zn(31)
     assert parse_space("znz:7") == ZnNonzero(7)
@@ -162,9 +174,17 @@ def test_parse_space():
     assert parse_space("ut2:5") == UpperTri2(5)
     assert parse_space("poly:5:6") == PolyQuot(5, 6)
     assert parse_space("bits:9") == BitVec(9)
-    with pytest.raises(ValueError):
+    # every kind: spec() is the kind and each field, and parses back
+    for kind, cls in SPACE_KINDS.items():
+        space = cls(*(5 for _ in fields(cls)))
+        assert space.kind == kind
+        assert space.spec() == ":".join([kind] + ["5"] * len(fields(cls)))
+        assert parse_space(space.spec()) == space
+    with pytest.raises(ValueError, match=r"^unknown space kind 'ring' in 'ring:5'$"):
         parse_space("ring:5")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^space kind 'poly' takes 2 integer argument\(s\)$"):
         parse_space("poly:5")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^space kind 'zn' takes 1 integer argument\(s\)$"):
+        parse_space("zn:5:2")
+    with pytest.raises(ValueError, match=r"^bad space specifier 'zn:abc': invalid literal"):
         parse_space("zn:abc")

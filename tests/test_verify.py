@@ -2,9 +2,14 @@ import pytest
 
 from ringgraphs import metrics, verify
 from ringgraphs.graphs import build_graph
-from ringgraphs.maps import MapFamily, PowerPlus, preset
+from ringgraphs.maps import Affine, MapFamily, PowerPlus, preset
 from ringgraphs.spaces import Zn, ZnNonzero
+from ringgraphs.survey import connectivity_locus
 from ringgraphs.verify import Verdict
+
+
+def connected(g):
+    return metrics.components(g)[0] == 1
 
 
 def test_lemma1_small():
@@ -15,8 +20,8 @@ def test_lemma1_small():
 
 
 def test_lemma1_explicit_cases():
-    assert metrics.is_connected(build_graph(MapFamily((verify.Affine(2, 0),), Zn(8))))
-    assert not metrics.is_connected(
+    assert connected(build_graph(MapFamily((verify.Affine(2, 0),), Zn(8))))
+    assert not connected(
         build_graph(MapFamily((verify.Affine(2, 0),), Zn(6)))
     )
 
@@ -36,7 +41,7 @@ def test_fermat_small_and_components():
     assert metrics.components(g_full)[0] == 3
     g_nz = build_graph(MapFamily((PowerPlus(2, 0),), ZnNonzero(59)))
     assert metrics.components(g_nz)[0] == 2
-    assert metrics.is_connected(build_graph(MapFamily((PowerPlus(2, 0),), ZnNonzero(257))))
+    assert connected(build_graph(MapFamily((PowerPlus(2, 0),), ZnNonzero(257))))
 
 
 def test_collatz_triangles_small():
@@ -53,7 +58,7 @@ def test_pierpont_large_reference_cases():
     # 768 = 2^8 * 3 and 10368 = 2^7 * 3^4, so both moduli connect
     for n in (769, 10369):
         g = build_graph(preset("pierpont", n))
-        assert metrics.is_connected(g), n
+        assert connected(g), n
 
 
 def test_pierpont_alternate_vertex_set_reading():
@@ -72,7 +77,7 @@ def test_power_pair_examples():
     assert v23.agreements == vp.agreements
     # 6 = 2*3 is not {2,5}-smooth, so 7 must be disconnected
     fam = MapFamily((PowerPlus(2, 0), PowerPlus(5, 0)), ZnNonzero(7))
-    assert not metrics.is_connected(build_graph(fam))
+    assert not connected(build_graph(fam))
 
 
 def test_affine_table_small():
@@ -82,17 +87,19 @@ def test_affine_table_small():
 
 
 def test_affine_table_cell_examples():
-    got = verify._affine_connected_set(3, 1, 100)
-    assert got == [1, 2, 3, 6, 9, 18, 27, 54, 81]
-    got = verify._affine_connected_set(2, 0, 100)
-    assert got == [1, 2, 4, 8, 16, 32, 64]
+    def cell(a, b):
+        locus = connectivity_locus((Affine(a, b),), "zn", range(1, 101))
+        return list(locus.connected_params())
+
+    assert cell(3, 1) == [1, 2, 3, 6, 9, 18, 27, 54, 81]
+    assert cell(2, 0) == [1, 2, 4, 8, 16, 32, 64]
 
 
 def test_collatz_connected_small():
     v = verify.verify_collatz_connected(500)
     assert v.passed
-    assert metrics.is_connected(build_graph(preset("collatz", 31)))
-    assert metrics.is_connected(build_graph(preset("collatz", 2)))
+    assert connected(build_graph(preset("collatz", 31)))
+    assert connected(build_graph(preset("collatz", 2)))
 
 
 def test_matrix_example_structure():
@@ -127,6 +134,40 @@ def test_run_claim_dispatch():
     assert v.passed
     with pytest.raises(ValueError):
         verify.run_claim("nonesuch")
+
+
+def test_claims_table_declares_every_claim_once():
+    assert verify.CLAIM_IDS == tuple(verify.CLAIMS)
+    assert verify.CLAIM_IDS[0] == "lemma1" and verify.CLAIM_IDS[-1] == "matrix-example"
+    # run_claim fills in the declared defaults
+    v = verify.run_claim("power-pair", n_max=30)
+    assert v == verify.verify_power_pair(2, 5, 30)
+
+
+@pytest.mark.parametrize(
+    "claim,kwargs,name",
+    [
+        ("artin", {"n_max": 50}, "n_max"),
+        ("lemma1", {"p_max": 50}, "p_max"),
+        ("lemma1", {"extras": (5,)}, "extras"),
+        ("fermat", {"p_max": 9}, "p_max"),
+        ("matrix-example", {"n_max": 7}, "n_max"),
+        ("affine-table", {"containment_max": 300}, "containment_max"),
+    ],
+)
+def test_run_claim_rejects_a_parameter_the_claim_does_not_take(claim, kwargs, name):
+    with pytest.raises(ValueError, match=f"^claim {claim} takes no {name}$"):
+        verify.run_claim(claim, **kwargs)
+
+
+def test_pierpont_rejects_other_space_kinds():
+    with pytest.raises(ValueError, match="units"):
+        verify.verify_pierpont(600, space_kind="units")
+
+
+def test_pierpont_from2_on_an_empty_range():
+    v = verify.verify_pierpont(2, space_kind="from2")
+    assert v.to_line() == "pierpont range=3..2 on from2 agree=0 disagree=[] PASS"
 
 
 def test_collatz_variant_triangle_remarks():
