@@ -21,8 +21,8 @@ SIZE_CAP = 1 << 25
 
 
 class StateSpace:
-    """Base class; subclasses are dataclasses that define kind, size, digits
-    and pack.
+    """Base class; each concrete space is a dataclass with a kind and the
+    integers of its specifier as fields, and defines size, digits and pack.
 
     `digits` and `pack` take an int or an int64 array of indices and
     columns alike, so one layout serves single states and whole tables."""
