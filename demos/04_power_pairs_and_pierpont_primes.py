@@ -8,7 +8,7 @@ from ringgraphs.numtheory import is_one_plus_smooth_prime
 from ringgraphs.verify import verify_pierpont, verify_power_pair
 
 print("x^2, x^3 connectivity vs primes with n-1 smooth over {2,3}:")
-print(" ", verify_pierpont(600).to_line())
+print(" ", verify_pierpont(600, space_kind="znz").to_line())
 listed = [n for n in range(2, 601) if is_one_plus_smooth_prime(n, {2, 3})]
 print("  those n:", listed)
 

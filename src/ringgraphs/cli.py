@@ -24,7 +24,7 @@ from .survey import (
     permutation_lambda,
     to_pbm,
 )
-from .verify import CLAIM_IDS, CLAIMS, run_claim
+from .verify import CLAIM_IDS, CLAIMS, PIERPONT_SPACE_KINDS, run_claim
 
 SCAN_KINDS = ("locus", "ca-mandelbrot", "euler-seq", "perm-lambda", "artin-census")
 
@@ -139,10 +139,11 @@ def cmd_verify(args) -> int:
     extras = args.extras
     if extras is not None:
         extras = tuple(int(v) for v in extras.split(",") if v.strip())
-    # a, b and space-kind have parser defaults, so they go only to the claims
-    # that take them; the other options go whenever they are given
+    # every given option goes to run_claim, which rejects one its claim does
+    # not take; a, b and space-kind are recorded at their defaults too
     given = {"n_max": args.nmax, "p_max": args.pmax}
-    given.update((k, getattr(args, k)) for k in ("a", "b", "space_kind") if k in takes)
+    for k in ("a", "b", "space_kind"):
+        given[k] = takes.get(k) if getattr(args, k) is None else getattr(args, k)
     given["extras"] = extras
     kwargs = {k: v for k, v in given.items() if v is not None}
     verdict = run_claim(args.claim, **kwargs)
@@ -239,12 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("claim", choices=CLAIM_IDS)
     ver.add_argument("--nmax", type=int)
     ver.add_argument("--pmax", type=int)
-    pair = CLAIMS["power-pair"][1]
-    ver.add_argument("--a", type=int, default=pair["a"], help="first exponent (power-pair)")
-    ver.add_argument("--b", type=int, default=pair["b"], help="second exponent (power-pair)")
+    ver.add_argument("--a", type=int, help="first exponent (power-pair)")
+    ver.add_argument("--b", type=int, help="second exponent (power-pair)")
     ver.add_argument(
-        "--space-kind", choices=("znz", "from2"),
-        default=CLAIMS["pierpont"][1]["space_kind"], help="vertex set reading for pierpont",
+        "--space-kind", choices=PIERPONT_SPACE_KINDS, help="vertex set reading for pierpont"
     )
     ver.add_argument("--extras", help="comma-separated extra n values (fermat)")
     ver.add_argument("--out")

@@ -123,45 +123,69 @@ def euler_sequence(n_max: int) -> tuple[int, ...]:
 # cellular-automaton connectivity grid
 
 
-def _ca_cell_counts(width: int, a_rows) -> np.ndarray:
-    """Component counts for grid cells (a, b), b >= a, for the given rows."""
+def _rule_symmetries() -> tuple[np.ndarray, np.ndarray]:
+    """(mirror, complement) as permutations of the elementary rules:
+    mirror[r](l, c, q) = r(q, c, l) and complement[r](n) = 1 - r(7 - n)."""
+    n = np.arange(8)
+    bits = np.arange(GRID_RULES)[:, None] >> n & 1  # bits[r, n] = r(n)
+    weights = 1 << n
+    mirror = bits[:, (n & 1) << 2 | n & 2 | n >> 2] @ weights
+    complement = (1 - bits[:, 7 - n]) @ weights
+    return mirror, complement
+
+
+_MIRROR, _COMPLEMENT = _rule_symmetries()
+
+
+def _orbit_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The key min*256+max of the smallest pair in the orbit of each rule
+    pair {a, b} under mirror and complement."""
+    key = a * GRID_RULES + b
+    for g in (_MIRROR, _COMPLEMENT, _MIRROR[_COMPLEMENT]):
+        ga, gb = g[a], g[b]
+        key = np.minimum(key, np.minimum(ga, gb) * GRID_RULES + np.maximum(ga, gb))
+    return key
+
+
+def _ca_cell_counts(width: int, keys: np.ndarray) -> np.ndarray:
+    """Component counts of the rule pairs (key // 256, key % 256)."""
     space = BitVec(width)
     tables = [image_table(CARule(r), space) for r in range(GRID_RULES)]
-    counts = component_counts(
-        (tables[a], tables[b]) for a in a_rows for b in range(a, GRID_RULES)
+    return component_counts(
+        (tables[a], tables[b]) for a, b in (divmod(k, GRID_RULES) for k in keys.tolist())
     )
-    out = np.zeros((len(a_rows), GRID_RULES), dtype=np.int32)
-    start = 0
-    for i, a in enumerate(a_rows):
-        out[i, a:] = counts[start : start + GRID_RULES - a]
-        start += GRID_RULES - a
-    return out
 
 
 def ca_mandelbrot(width: int, workers: int = 1) -> LocusResult:
     """Connectivity of the graph on width-w bit vectors generated by each
-    pair of elementary CA rules; 256x256 symmetric grid."""
+    pair of elementary CA rules; 256x256 symmetric grid.
+
+    Mirroring a rule conjugates its map by the bit reversal of the states,
+    and complementing it by the bit flip, so both symmetries carry a pair
+    graph to an isomorphic one.  Components are counted once per orbit of
+    the unordered pair {a, b} under mirror and complement (8,896 of the
+    32,896 pairs) and copied to the rest of the orbit; workers > 1 splits
+    those representative pairs over processes, and the grid is the same
+    for every worker count."""
     if not 3 <= width <= 20:
         raise ValueError("width must be in 3..20")
-    grid = np.zeros((GRID_RULES, GRID_RULES), dtype=np.int32)
+    a, b = np.triu_indices(GRID_RULES)
+    keys, cell_key = np.unique(_orbit_keys(a, b), return_inverse=True)
     if workers <= 1:
-        slab = _ca_cell_counts(width, range(GRID_RULES))
-        grid[:] = slab
+        key_counts = _ca_cell_counts(width, keys)
     else:
-        chunks = [list(range(start, GRID_RULES, workers)) for start in range(workers)]
+        parts = np.array_split(keys, workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_ca_cell_counts, width, chunk) for chunk in chunks
-            ]
-            for chunk, fut in zip(chunks, futures):
-                grid[chunk, :] = fut.result()
-    upper = np.triu(grid)
-    full = upper + np.triu(grid, 1).T
+            key_counts = np.concatenate(
+                list(pool.map(_ca_cell_counts, [width] * workers, parts))
+            )
+    full = np.zeros((GRID_RULES, GRID_RULES), dtype=np.int32)
+    full[a, b] = full[b, a] = key_counts[cell_key]
     params = tuple((a, b) for a in range(GRID_RULES) for b in range(GRID_RULES))
     return LocusResult(
         axis="rule pairs (a,b), 0..255 x 0..255, row=a col=b",
         params=params,
-        component_counts=tuple(int(c) for c in full.ravel()),
+        component_counts=tuple(full.ravel().tolist()),
         generation=(("space", f"bits:{width}"), ("maps", "ca:a,ca:b")),
     )
 
@@ -178,9 +202,9 @@ def to_pbm(result: LocusResult, header_lines: tuple[str, ...] = ()) -> str:
     lines = ["P1"]
     lines.extend(f"# {h}" for h in header_lines)
     lines.append(f"{GRID_RULES} {GRID_RULES}")
-    for row in grid:
-        lines.append("".join("1" if c else "0" for c in row))
-    return "\n".join(lines) + "\n"
+    rows = np.full((GRID_RULES, GRID_RULES + 1), ord("\n"), dtype=np.uint8)
+    rows[:, :-1] = grid + ord("0")
+    return "\n".join(lines) + "\n" + rows.tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ PIERPONT_LIST_577 = (
     2, 3, 5, 7, 13, 17, 19, 37, 73, 97, 109, 163, 193, 257, 433, 487, 577,
 )
 
+# the vertex sets pierpont reads: nonzero residues, or {2..n-1}
+PIERPONT_SPACE_KINDS = ("znz", "from2")
+
 # connectivity loci for one affine map ax+b: (a, b) -> (prime set, doubled?)
 AFFINE_TABLE = {
     (2, 0): ({2}, False),
@@ -155,7 +158,7 @@ def verify_artin(p_max: int) -> Verdict:
     return Verdict("artin", f"2..{p_max}", agree, tuple(bad))
 
 
-def verify_fermat(n_max: int, extras=(65537,)) -> Verdict:
+def verify_fermat(n_max: int, extras) -> Verdict:
     """The squaring graph on nonzero residues is connected iff n = 2 or n is
     a prime of the form 2^(2^k) + 1."""
     if n_max < 2:
@@ -188,13 +191,14 @@ def verify_collatz_triangles(p_max: int) -> Verdict:
     return Verdict("collatz-triangles", f"13,primes 19..{p_max}", agree, tuple(bad))
 
 
-def verify_pierpont(n_max: int, space_kind: str = "znz") -> Verdict:
+def verify_pierpont(n_max: int, space_kind: str) -> Verdict:
     """The (x^2, x^3) graph on nonzero residues is connected iff n is a
     prime with n-1 smooth over {2,3}; also pins the frozen list to 577."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if space_kind not in ("znz", "from2"):
-        raise ValueError(f"pierpont sweeps znz or from2, not {space_kind!r}")
+    if space_kind not in PIERPONT_SPACE_KINDS:
+        kinds = " or ".join(PIERPONT_SPACE_KINDS)
+        raise ValueError(f"pierpont sweeps {kinds}, not {space_kind!r}")
     start = SPACE_KINDS[space_kind].first + 1
     ns = range(start, n_max + 1)
     got = _connected((PowerPlus(2, 0), PowerPlus(3, 0)), space_kind, ns)

@@ -111,7 +111,7 @@ def test_06_collatz_triangles():
 
 
 def test_07_power_map_connectivity():
-    verdict = verify.verify_pierpont(600)
+    verdict = verify.verify_pierpont(600, space_kind="znz")
     pair = verify.verify_power_pair(2, 5, 101)
     predicted = [
         n for n in range(2, 102) if nt.is_one_plus_smooth_prime(n, {2, 5})

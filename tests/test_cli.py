@@ -189,6 +189,9 @@ def test_verify_power_pair_flags(capsys):
         (["verify", "lemma1", "--extras", "5"], "extras"),
         (["verify", "fermat", "--pmax", "9"], "p_max"),
         (["verify", "matrix-example", "--nmax", "7"], "n_max"),
+        (["verify", "artin", "--pmax", "50", "--a", "3"], "a"),
+        (["verify", "pierpont", "--nmax", "20", "--b", "3"], "b"),
+        (["verify", "lemma1", "--nmax", "20", "--space-kind", "from2"], "space_kind"),
     ],
 )
 def test_verify_rejects_a_flag_its_claim_does_not_take(tmp_path, capsys, argv, name):

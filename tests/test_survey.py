@@ -96,6 +96,68 @@ def test_ca_workers_give_identical_grid(width3_grid):
     assert survey.to_pbm(parallel) == survey.to_pbm(width3_grid)
 
 
+def _bit_reversal(width):
+    index = np.arange(1 << width)
+    out = np.zeros_like(index)
+    for i in range(width):
+        out |= (index >> i & 1) << (width - 1 - i)
+    return out
+
+
+def test_rule_symmetries_pin_the_known_classes():
+    mirror, complement = survey._MIRROR, survey._COMPLEMENT
+    assert (mirror[30], complement[30], mirror[complement[30]]) == (86, 135, 149)
+    assert (mirror[110], complement[110], mirror[complement[110]]) == (124, 137, 193)
+    for g in (mirror, complement):
+        assert sorted(g) == list(range(256))
+        assert (g[g] == np.arange(256)).all()
+    orbit_min = np.minimum.reduce([np.arange(256), mirror, complement, mirror[complement]])
+    assert len(np.unique(orbit_min)) == 88  # Wolfram's equivalence classes
+
+
+@pytest.mark.parametrize("width", range(3, 10))
+def test_rule_symmetries_conjugate_the_ca_maps(width):
+    # the premise of the orbit reduction: mirroring a rule conjugates its
+    # map by the bit reversal R, complementing it by the bit flip C
+    from ringgraphs.maps import CARule, image_table
+    from ringgraphs.spaces import BitVec
+
+    space = BitVec(width)
+    tables = [image_table(CARule(r), space) for r in range(256)]
+    reverse = _bit_reversal(width)
+    flip = np.arange(1 << width) ^ ((1 << width) - 1)
+    for r in range(256):
+        assert np.array_equal(tables[survey._MIRROR[r]], reverse[tables[r][reverse]]), r
+        assert np.array_equal(tables[survey._COMPLEMENT[r]], flip[tables[r][flip]]), r
+
+
+def test_ca_orbits_cover_the_pairs():
+    a, b = np.triu_indices(256)
+    keys = survey._orbit_keys(a, b)
+    assert len(np.unique(keys)) == 8896
+    assert (keys <= a * 256 + b).all()
+    # a representative is its own key
+    ra, rb = np.divmod(np.unique(keys), 256)
+    assert np.array_equal(survey._orbit_keys(ra, rb), ra * 256 + rb)
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_ca_grid_matches_the_unreduced_grid(width):
+    from ringgraphs.maps import CARule, image_table
+    from ringgraphs.spaces import BitVec
+
+    space = BitVec(width)
+    tables = [image_table(CARule(r), space) for r in range(256)]
+    a, b = np.triu_indices(256)
+    upper = metrics.component_counts(
+        (tables[i], tables[j]) for i, j in zip(a.tolist(), b.tolist())
+    )
+    want = np.zeros((256, 256), dtype=np.int64)
+    want[a, b] = want[b, a] = upper
+    got = np.array(survey.ca_mandelbrot(width).component_counts).reshape(256, 256)
+    assert np.array_equal(got, want)
+
+
 def test_ca_width_bounds():
     with pytest.raises(ValueError):
         survey.ca_mandelbrot(2)

@@ -50,7 +50,7 @@ def test_collatz_triangles_small():
 
 
 def test_pierpont_with_list():
-    v = verify.verify_pierpont(600)
+    v = verify.verify_pierpont(600, space_kind="znz")
     assert v.passed
 
 
@@ -72,7 +72,7 @@ def test_power_pair_examples():
     assert v.passed
     # x^2,x^3 is the same claim as the pierpont checker, definitionally
     v23 = verify.verify_power_pair(2, 3, 120)
-    vp = verify.verify_pierpont(120)
+    vp = verify.verify_pierpont(120, space_kind="znz")
     assert v23.passed == vp.passed
     assert v23.agreements == vp.agreements
     # 6 = 2*3 is not {2,5}-smooth, so 7 must be disconnected
