@@ -1,8 +1,11 @@
 """Command-line front door: gen | stats | verify | scan.
 
-Every output file carries a comment header with the effective run
-configuration (content-determining fields only, defaults included), so a
-run can be reproduced byte-for-byte from its own output.
+Every output file carries a comment header with the content-determining
+fields of its run, so a run can be reproduced byte-for-byte from its own
+output: space and maps for gen, and nu and seed too for stats; every option
+of a scan kind but --workers, defaults filled in from SCANS; and the options
+given to verify, plus a claim's a, b and space-kind at their verify.CLAIMS
+defaults.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from . import __version__, survey
 from .graphs import build_graph, export_dot, export_edge_list
-from .maps import MapFamily, parse_maps
+from .maps import family_from_texts, parse_maps
 from .metrics import full_report
 from .spaces import SPACE_KINDS, ResidueSpace, parse_space
 from .survey import (
@@ -25,8 +28,6 @@ from .survey import (
     to_pbm,
 )
 from .verify import CLAIM_IDS, CLAIMS, PIERPONT_SPACE_KINDS, run_claim
-
-SCAN_KINDS = ("locus", "ca-mandelbrot", "euler-seq", "perm-lambda", "artin-census")
 
 # header keys that reappear as positional CLI arguments
 _POSITIONAL_KEYS = ("claim", "kind")
@@ -61,14 +62,10 @@ class RunConfig:
     def from_output(cls, text: str) -> "RunConfig":
         """Parse the header back out of a written output file."""
         pairs = []
-        for line in text.splitlines():
-            if line.startswith(("# ", "// ")):
-                line = line.split(" ", 1)[1].strip()
-            elif line != "P1":
+        for line in text.removeprefix("P1\n").splitlines():
+            if not line.startswith(("# ", "// ")):
                 break
-            else:
-                continue
-            key, sep, value = line.partition("=")
+            key, sep, value = line.split(" ", 1)[1].strip().partition("=")
             if sep:
                 pairs.append((key, value))
         table = dict(pairs)
@@ -82,12 +79,14 @@ class RunConfig:
 
 
 def _write(path: str | None, body: str, config: RunConfig) -> None:
-    """Write body with the header of config to path, or to stdout."""
+    """Write body with the header of config to path, or to stdout: as #
+    lines after the magic number of a PBM, else as comment lines before the
+    body (// for a .dot path)."""
     if body.startswith("P1\n"):
-        text = body  # a PBM carries its header after the magic number
+        magic, mark, body = "P1\n", "#", body[3:]
     else:
-        mark = "//" if path is not None and path.endswith(".dot") else "#"
-        text = "".join(f"{mark} {h}\n" for h in config.header_lines()) + body
+        magic, mark = "", "//" if path is not None and path.endswith(".dot") else "#"
+    text = magic + "".join(f"{mark} {h}\n" for h in config.header_lines()) + body
     if path is None:
         sys.stdout.write(text)
         return
@@ -95,12 +94,8 @@ def _write(path: str | None, body: str, config: RunConfig) -> None:
         fh.write(text)
 
 
-def _build_family(space_text: str, maps_text: str) -> MapFamily:
-    return MapFamily(parse_maps(maps_text), parse_space(space_text))
-
-
 def cmd_gen(args) -> int:
-    family = _build_family(args.space, args.maps)
+    family = family_from_texts(parse_space(args.space), args.maps)
     g = build_graph(family)
     config = RunConfig(
         "gen", (("space", args.space), ("maps", family.provenance()))
@@ -119,7 +114,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    family = _build_family(args.space, args.maps)
+    family = family_from_texts(parse_space(args.space), args.maps)
     report = full_report(build_graph(family), nu_estimator=args.nu, sample_seed=args.seed)
     config = RunConfig(
         "stats",
@@ -158,59 +153,61 @@ def cmd_verify(args) -> int:
     return 0 if verdict.passed else 2
 
 
+def _scan_locus(space_kind: str, maps: str | None, nmax: int) -> str:
+    space_cls = SPACE_KINDS.get(space_kind)
+    if space_cls is None or not issubclass(space_cls, ResidueSpace):
+        raise ValueError(f"locus scans sweep residue spaces, not {space_kind!r}")
+    if maps is None:
+        raise ValueError("locus scans need --maps")
+    ns = range(space_cls.first + 1, nmax + 1)
+    return connectivity_locus(parse_maps(maps), space_kind, ns).to_csv()
+
+
+def _scan_ca_mandelbrot(width: int, workers: int) -> str:
+    workers = workers or os.cpu_count() or 1
+    print(f"workers={workers}", file=sys.stderr)
+    return to_pbm(ca_mandelbrot(width, workers=workers))
+
+
+def _scan_euler_seq(nmax: int) -> str:
+    seq = euler_sequence(nmax)
+    return "n,euler_char\n" + "".join(f"{n},{chi}\n" for n, chi in enumerate(seq, 1))
+
+
+def _scan_perm_lambda(n: int, trials: int, seed: int) -> str:
+    return permutation_lambda(n, trials, seed).to_csv()
+
+
+def _scan_artin_census(count: int) -> str:
+    hits, fraction = survey.artin_census(count)
+    return f"primes={count} count={hits} fraction={fraction:.9g}\n"
+
+
+# scan kind -> (body writer, {option: default}); the header records every
+# option but workers, in this order.  The writers look the survey functions up
+# when they run, so a function patched on this module is the one called.
+SCANS = {
+    "locus": (_scan_locus, {"space_kind": "zn", "maps": None, "nmax": 100}),
+    "ca-mandelbrot": (_scan_ca_mandelbrot, {"width": 9, "workers": 0}),
+    "euler-seq": (_scan_euler_seq, {"nmax": 100}),
+    "perm-lambda": (_scan_perm_lambda, {"n": 100, "trials": 50, "seed": 0}),
+    "artin-census": (_scan_artin_census, {"count": 10000}),
+}
+_SCAN_OPTIONS = {name for _, takes in SCANS.values() for name in takes}
+
+
 def cmd_scan(args) -> int:
-    kind = args.kind
-    if kind == "locus":
-        space_cls = SPACE_KINDS.get(args.space_kind)
-        if space_cls is None or not issubclass(space_cls, ResidueSpace):
-            raise ValueError(f"locus scans sweep residue spaces, not {args.space_kind!r}")
-        if args.maps is None:
-            raise ValueError("locus scans need --maps")
-        maps = parse_maps(args.maps)
-        ns = range(space_cls.first + 1, args.nmax + 1)
-        result = connectivity_locus(maps, args.space_kind, ns)
-        config = RunConfig(
-            "scan",
-            (
-                ("kind", kind),
-                ("space-kind", args.space_kind),
-                ("maps", args.maps),
-                ("nmax", str(args.nmax)),
-            ),
-        )
-        _write(args.out, result.to_csv(), config)
-    elif kind == "ca-mandelbrot":
-        workers = args.workers if args.workers else os.cpu_count() or 1
-        print(f"workers={workers}", file=sys.stderr)
-        result = ca_mandelbrot(args.width, workers=workers)
-        config = RunConfig("scan", (("kind", kind), ("width", str(args.width))))
-        _write(args.out, to_pbm(result, tuple(config.header_lines())), config)
-    elif kind == "euler-seq":
-        seq = euler_sequence(args.nmax)
-        body = "n,euler_char\n" + "".join(
-            f"{i + 1},{chi}\n" for i, chi in enumerate(seq)
-        )
-        config = RunConfig("scan", (("kind", kind), ("nmax", str(args.nmax))))
-        _write(args.out, body, config)
-    elif kind == "perm-lambda":
-        census = permutation_lambda(args.n, args.trials, args.seed)
-        config = RunConfig(
-            "scan",
-            (
-                ("kind", kind),
-                ("n", str(args.n)),
-                ("trials", str(args.trials)),
-                ("seed", str(args.seed)),
-            ),
-        )
-        _write(args.out, census.to_csv(), config)
-    elif kind == "artin-census":
-        count, fraction = survey.artin_census(args.count)
-        body = f"primes={args.count} count={count} fraction={fraction:.9g}\n"
-        config = RunConfig("scan", (("kind", kind), ("count", str(args.count))))
-        _write(args.out, body, config)
-    else:
-        raise ValueError(f"unknown scan kind {kind!r}")
+    writer, takes = SCANS[args.kind]
+    given = {k: v for k, v in vars(args).items() if k in _SCAN_OPTIONS and v is not None}
+    for name in given:
+        if name not in takes:
+            raise ValueError(f"scan {args.kind} takes no --{name.replace('_', '-')}")
+    options = {**takes, **given}
+    header = tuple(
+        (k.replace("_", "-"), str(v)) for k, v in options.items() if k != "workers"
+    )
+    config = RunConfig("scan", (("kind", args.kind),) + header)
+    _write(args.out, writer(**options), config)
     return 0
 
 
@@ -250,19 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     scan = sub.add_parser("scan", help="parameter-space sweeps and censuses")
-    scan.add_argument("kind", choices=SCAN_KINDS)
+    scan.add_argument("kind", choices=SCANS)
     scan.add_argument("--maps", help="maps for locus scans")
+    scan.add_argument("--space-kind", help="residue space family for locus scans")
+    scan.add_argument("--nmax", type=int)
+    scan.add_argument("--width", type=int, help="bit width (ca-mandelbrot)")
+    scan.add_argument("--n", type=int, help="modulus (perm-lambda)")
+    scan.add_argument("--trials", type=int)
+    scan.add_argument("--seed", type=int)
+    scan.add_argument("--count", type=int, help="primes (artin-census)")
     scan.add_argument(
-        "--space-kind", default="zn", help="residue space family for locus scans"
-    )
-    scan.add_argument("--nmax", type=int, default=100)
-    scan.add_argument("--width", type=int, default=9, help="bit width (ca-mandelbrot)")
-    scan.add_argument("--n", type=int, default=100, help="modulus (perm-lambda)")
-    scan.add_argument("--trials", type=int, default=50)
-    scan.add_argument("--seed", type=int, default=0)
-    scan.add_argument("--count", type=int, default=10000, help="primes (artin-census)")
-    scan.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=int,
         help="0 = one worker per available CPU (results are worker-invariant)",
     )
     scan.add_argument("--out")

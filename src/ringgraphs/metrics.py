@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -54,18 +54,8 @@ class StatsReport:
 
     def to_json(self) -> str:
         doc = {
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "components": self.components,
-            "diameter": self.diameter,
-            "mu": self.mu,
-            "nu_local": self.nu_local,
-            "nu_transitivity": self.nu_transitivity,
-            "lambda": self.lam,
-            "triangles": self.triangles,
-            "euler_char": self.euler_char,
-            "mean_degree": self.mean_degree,
-            "sampled_sources": self.sampled_sources,
+            "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+            for f in fields(self)
         }
         return json.dumps(doc, indent=2) + "\n"
 

@@ -45,7 +45,6 @@ class LocusResult:
     params: tuple
     component_counts: tuple[int, ...]
     generation: tuple[tuple[str, str], ...]
-    seed: int | None = None
 
     def connected_params(self) -> tuple:
         return tuple(
@@ -55,8 +54,7 @@ class LocusResult:
     def to_csv(self) -> str:
         lines = ["param,components,connected"]
         for p, c in zip(self.params, self.component_counts):
-            name = f"{p[0]}:{p[1]}" if isinstance(p, tuple) else str(p)
-            lines.append(f"{name},{c},{1 if c == 1 else 0}")
+            lines.append(f"{p},{c},{1 if c == 1 else 0}")
         return "\n".join(lines) + "\n"
 
 
@@ -196,15 +194,11 @@ def grid_of(result: LocusResult) -> np.ndarray:
     return (counts == 1).reshape(GRID_RULES, GRID_RULES)
 
 
-def to_pbm(result: LocusResult, header_lines: tuple[str, ...] = ()) -> str:
+def to_pbm(result: LocusResult) -> str:
     """Plain PBM (P1) bitmap of the connectivity grid; 1 = connected."""
-    grid = grid_of(result)
-    lines = ["P1"]
-    lines.extend(f"# {h}" for h in header_lines)
-    lines.append(f"{GRID_RULES} {GRID_RULES}")
     rows = np.full((GRID_RULES, GRID_RULES + 1), ord("\n"), dtype=np.uint8)
-    rows[:, :-1] = grid + ord("0")
-    return "\n".join(lines) + "\n" + rows.tobytes().decode("ascii")
+    rows[:, :-1] = grid_of(result) + ord("0")
+    return f"P1\n{GRID_RULES} {GRID_RULES}\n" + rows.tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

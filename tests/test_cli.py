@@ -148,6 +148,10 @@ def test_run_config_roundtrips_through_output(tmp_path):
         (["verify", "power-pair", "--a", "2", "--b", "5", "--nmax", "30"], ".out"),
         (["scan", "locus", "--maps", "3x+1", "--space-kind", "zn", "--nmax", "20"], ".out"),
         (["scan", "perm-lambda", "--n", "30", "--trials", "3", "--seed", "9"], ".out"),
+        (["scan", "ca-mandelbrot", "--width", "3", "--workers", "1"], ".pbm"),
+        (["scan", "ca-mandelbrot", "--width", "3", "--workers", "1"], ".dot"),
+        (["scan", "euler-seq"], ".out"),
+        (["scan", "artin-census", "--count", "50"], ".out"),
         (["gen", "--space", "zn:12", "--maps", "x^2"], ".out"),
         (["scan", "locus", "--maps", "3x+1", "--space-kind", "zn", "--nmax", "20"], ".pbm"),
         (["gen", "--space", "zn:12", "--maps", "x^2"], ".pbm"),
@@ -155,7 +159,10 @@ def test_run_config_roundtrips_through_output(tmp_path):
     for i, (argv, suffix) in enumerate(cases):
         first = tmp_path / f"first{i}{suffix}"
         run(argv + ["--out", str(first)])
-        config = cli.RunConfig.from_output(read(first))
+        text = read(first)
+        if text.startswith("P1\n"):  # a PBM keeps # lines, whatever its suffix
+            assert text.splitlines()[1].startswith("# ringgraphs="), argv
+        config = cli.RunConfig.from_output(text)
         second = tmp_path / f"second{i}{suffix}"
         assert run(config.to_args() + ["--out", str(second)]) in (0, 2)
         assert read(first) == read(second), argv
@@ -219,6 +226,49 @@ def test_verify_header_records_the_claim_defaults(tmp_path, claim, recorded):
 def test_verify_unknown_claim_rejected():
     with pytest.raises(SystemExit):
         run(["verify", "nonesuch"])
+
+
+# the options each scan kind takes; every other (kind, option) pair is an error
+SCAN_TAKES = {
+    "locus": ("maps", "space-kind", "nmax"),
+    "ca-mandelbrot": ("width", "workers"),
+    "euler-seq": ("nmax",),
+    "perm-lambda": ("n", "trials", "seed"),
+    "artin-census": ("count",),
+}
+SCAN_VALUES = {
+    "maps": "x^2", "space-kind": "zn", "nmax": "5", "width": "3", "n": "5",
+    "trials": "1", "seed": "1", "count": "5", "workers": "1",
+}
+
+
+def test_scans_declare_the_options_each_kind_takes():
+    declared = {
+        kind: {name.replace("_", "-") for name in takes}
+        for kind, (_, takes) in cli.SCANS.items()
+    }
+    assert declared == {kind: set(flags) for kind, flags in SCAN_TAKES.items()}
+
+
+@pytest.mark.parametrize(
+    "kind,flag",
+    [(k, f) for k in SCAN_TAKES for f in SCAN_VALUES if f not in SCAN_TAKES[k]],
+)
+def test_scan_rejects_an_option_its_kind_does_not_take(tmp_path, capsys, kind, flag):
+    out = tmp_path / "s.out"
+    assert run(["scan", kind, f"--{flag}", SCAN_VALUES[flag], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: scan {kind} takes no --{flag}\n"
+    assert not out.exists()
+
+
+def test_scan_header_records_every_option_of_its_kind(capsys):
+    assert run(["scan", "perm-lambda", "--trials", "2"]) == 0
+    config = cli.RunConfig.from_output(capsys.readouterr().out)
+    assert config.fields == (
+        ("kind", "perm-lambda"), ("n", "100"), ("trials", "2"), ("seed", "0"),
+    )
 
 
 def test_scan_euler_seq(tmp_path):
