@@ -2,10 +2,10 @@
 
 Every output file carries a comment header with the content-determining
 fields of its run, so a run can be reproduced byte-for-byte from its own
-output: space and maps for gen, and nu and seed too for stats; every option
-of a scan kind but --workers, defaults filled in from SCANS; and the options
-given to verify, plus a claim's a, b and space-kind at their verify.CLAIMS
-defaults.
+output: space and maps for gen, plus labels in a labelled .dot file; nu and
+seed too for stats; every option of a scan kind but --workers, defaults
+filled in from SCANS; and the options given to verify, plus a claim's a, b
+and space-kind at their verify.CLAIMS defaults.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .survey import (
 )
 from .verify import CLAIM_IDS, CLAIMS, PIERPONT_SPACE_KINDS, run_claim
 
-# header keys that reappear as positional CLI arguments
+# header keys that reappear as positional CLI arguments, and as bare flags
 _POSITIONAL_KEYS = ("claim", "kind")
+_FLAG_KEYS = ("labels",)
 
 # run_claim parameters whose verify flag is spelt differently
 _VERIFY_FLAGS = {"n_max": "nmax", "p_max": "pmax", "space_kind": "space-kind"}
@@ -54,6 +55,8 @@ class RunConfig:
         for key, value in self.fields:
             if key in _POSITIONAL_KEYS:
                 argv.append(value)
+            elif key in _FLAG_KEYS:
+                argv.append(f"--{key}")
             else:
                 argv += [f"--{key}", value]
         return argv
@@ -97,19 +100,18 @@ def _write(path: str | None, body: str, config: RunConfig) -> None:
 def cmd_gen(args) -> int:
     family = family_from_texts(parse_space(args.space), args.maps)
     g = build_graph(family)
-    config = RunConfig(
-        "gen", (("space", args.space), ("maps", family.provenance()))
-    )
+    fields = (("space", args.space), ("maps", family.provenance()))
     outs = args.out or [None]
     for path in outs:
         if path is not None and path.endswith(".dot"):
             labels = None
+            dot_fields = fields
             if args.labels:
                 labels = [str(p) for p in family.space.payloads()]
-            body = export_dot(g, labels)
+                dot_fields += (("labels", "true"),)
+            _write(path, export_dot(g, labels), RunConfig("gen", dot_fields))
         else:
-            body = export_edge_list(g)
-        _write(path, body, config)
+            _write(path, export_edge_list(g), RunConfig("gen", fields))
     return 0
 
 

@@ -1,11 +1,17 @@
 """Graph statistics: components, diameter, characteristic path length,
 clustering, triangles, Euler characteristic, degrees.
 
-Path statistics are computed over the largest component by a bit-parallel
-BFS: 512 sources per pass, one bit each in 8 uint64 words per vertex, so a
-pass holds O(V * 8) words (a k-map family has at most k*V edges).  The scan
-is exact, all sources, up to 2^16 vertices; above that a seeded sample of
-2048 sources is used and the sample size is recorded in the report.
+Path statistics are computed over the largest component, of m vertices, by
+a bit-parallel BFS: 512 sources per pass, one bit each in 8 uint64 words
+per vertex.  The vertices are relabelled once per graph into degree slabs,
+each slab's neighbour lists a column-major table of one padded width, cut
+into blocks of at most _SLAB_ENTRIES entries.  A level gathers each block's
+frontier rows and ORs them over the width into its slice of the next
+frontier, so a pass holds three (m+1) x 8-word arrays (frontier, next
+frontier, unseen) and one gathered block, and the int32 tables, shared by
+every pass, hold at most twice the CSR entries.  The scan is exact, all
+sources, up to 2^16 vertices; above that a seeded sample of 2048 sources is
+used and the sample size is recorded in the report.
 
 Triangles come from one pass over the wedges of the degree-ordered edge
 orientation, in bounded chunks, which sees each triangle once; the 4-clique
@@ -33,6 +39,8 @@ SAMPLE_SOURCES = 2048
 _CHUNK_VERTICES = 1 << 16
 # sources per bit-parallel BFS pass: 8 uint64 words per vertex
 _BFS_SOURCES = 512
+# neighbour entries per gathered block of the distance scan: 4 MiB at 8 words
+_SLAB_ENTRIES = 1 << 16
 # wedges per chunk of the triangle and 4-clique kernels
 _WEDGE_CHUNK = 1 << 16
 
@@ -146,43 +154,82 @@ def _distance_scan(
         pick = rng.shuffled_range(m, seed)[:SAMPLE_SOURCES]
         sources = member[np.sort(np.array(pick))]
         sampled = len(sources)
+    rank, blocks = _degree_slabs(g, member)
+    sources = rank[sources]
     diameter = 0
     total = 0
     for start in range(0, len(sources), _BFS_SOURCES):
-        ecc, dist_sum = _bfs_pass(g, sources[start : start + _BFS_SOURCES])
+        ecc, dist_sum = _bfs_pass(blocks, m, sources[start : start + _BFS_SOURCES])
         diameter = max(diameter, ecc)
         total += dist_sum
     mu = total / (len(sources) * (m - 1))
     return diameter, mu, sampled
 
 
-def _bfs_pass(g: SimpleGraph, sources: np.ndarray) -> tuple[int, int]:
-    """(largest eccentricity, sum of distances) over distinct sources, all in
-    one component, as one bit-parallel BFS.
+def _degree_slabs(g: SimpleGraph, member: np.ndarray) -> tuple[np.ndarray, list]:
+    """(rank, blocks): the vertices of member relabelled 0..m-1 in order of
+    padded degree width, and their neighbour lists in blocks (lo, hi, table).
 
-    Source i owns bit i % 64 of word i // 64 in every vertex's row, so a
-    level is one OR-reduce of the frontier rows over each CSR neighbour list.
+    rank[v] is the new label of a member v.  A vertex's width is its degree
+    up to 16, else the next power of two, so there are few distinct widths.
+    The new labels lo..hi-1 of a block share one width w, and table is the
+    (w, hi - lo) int32 array whose column r lists the new labels of the
+    neighbours of lo + r, padded with m.  A block holds at most
+    _SLAB_ENTRIES entries, or one column if w is wider.
+    """
+    m = len(member)
+    deg = np.diff(g.indptr)[member]
+    # frexp(d - 1)[1] is the bit length of d - 1
+    width = np.where(deg <= 16, deg, 1 << np.frexp(deg - 1)[1])
+    order = np.argsort(width, kind="stable")
+    old, deg, width = member[order], deg[order], width[order]  # by new label
+    rank = np.empty(g.vertex_count, dtype=np.int32)  # read at members only
+    rank[old] = np.arange(m, dtype=np.int32)
+    cuts = np.flatnonzero(np.diff(width)) + 1
+    blocks = []
+    for first, last in zip(np.r_[0, cuts].tolist(), np.r_[cuts, m].tolist()):
+        w = int(width[first])
+        step = max(1, _SLAB_ENTRIES // w)
+        for lo in range(first, last, step):
+            hi = min(lo + step, last)
+            row = np.arange(w)[:, None]
+            inside = row < deg[lo:hi]
+            pos = g.indptr[old[lo:hi]] + row
+            table = np.full((w, hi - lo), m, dtype=np.int32)
+            table[inside] = rank[g.indices[pos[inside]]]
+            blocks.append((lo, hi, table))
+    return rank, blocks
+
+
+def _bfs_pass(blocks: list, m: int, sources: np.ndarray) -> tuple[int, int]:
+    """(largest eccentricity, sum of distances) over distinct sources, given
+    by their new labels in the slabs of _degree_slabs, as one bit-parallel
+    BFS over the m relabelled vertices.
+
+    Source i owns bit i % 64 of word i // 64 in every vertex's row.  Row m
+    of both frontier buffers stays zero, so a padded table entry adds
+    nothing, and a level gathers each block's rows and ORs them over the
+    table's width straight into its slice of the next frontier.
     """
     words = -(-len(sources) // 64)
-    frontier = np.zeros((g.vertex_count, words), dtype=np.uint64)
+    frontier = np.zeros((m + 1, words), dtype=np.uint64)
     slot = np.arange(len(sources))
     frontier[sources, slot // 64] = np.uint64(1) << (slot % 64).astype(np.uint64)
-    seen = frontier.copy()
-    # reduceat over an empty segment yields the element there, not 0
-    has_nbrs = np.diff(g.indptr) > 0
-    starts = g.indptr[:-1][has_nbrs]
+    unseen = ~frontier
+    reached = np.zeros_like(frontier)
     level = total = 0
     while True:
-        reached = np.zeros_like(frontier)
-        reached[has_nbrs] = np.bitwise_or.reduceat(frontier[g.indices], starts, axis=0)
-        reached &= ~seen
+        for lo, hi, table in blocks:
+            gathered = np.take(frontier, table, axis=0)
+            np.bitwise_or.reduce(gathered, axis=0, out=reached[lo:hi])
+        reached &= unseen
         count = int(np.bitwise_count(reached).sum(dtype=np.int64))
         if count == 0:
             return level, total
         level += 1
         total += level * count
-        seen |= reached
-        frontier = reached
+        unseen ^= reached
+        frontier, reached = reached, frontier
 
 
 def _orient(g: SimpleGraph):

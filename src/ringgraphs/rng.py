@@ -9,11 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+# shuffle draws mixed per numpy call: 512 KiB per uint64 temporary
+_DRAW_CHUNK = 1 << 16
 
 
 def splitmix64(state: int) -> tuple[int, int]:
     """Advance a splitmix64 state once; returns (value, next_state)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
+    state = (state + _GOLDEN) & _MASK
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -24,10 +27,10 @@ class SeedStream:
     """Stateful stream of 64-bit words derived from one seed."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self.state = seed & _MASK  # the splitmix64 state of the last draw
 
     def next_u64(self) -> int:
-        value, self._state = splitmix64(self._state)
+        value, self.state = splitmix64(self.state)
         return value
 
     def next_below(self, bound: int) -> int:
@@ -42,13 +45,43 @@ class SeedStream:
 
 
 def shuffled_range(n: int, seed: int) -> list[int]:
-    """Fisher-Yates shuffle of range(n), fully determined by the seed."""
+    """Fisher-Yates shuffle of range(n), fully determined by the seed: step
+    i = n-1..1 swaps position i with SeedStream(seed).next_below(i + 1)."""
     table = list(range(n))
-    stream = SeedStream(seed)
-    for i in range(n - 1, 0, -1):
-        j = stream.next_below(i + 1)
+    for i, j in zip(range(n - 1, 0, -1), _swap_partners(n, seed)):
         table[i], table[j] = table[j], table[i]
     return table
+
+
+def _swap_partners(n: int, seed: int):
+    """The draws of shuffled_range's steps i = n-1..1, in order.
+
+    splitmix64 is counter based: t draws after state s, the state is
+    s + t * _GOLDEN.  So the draws of up to _DRAW_CHUNK steps are mixed at
+    once in uint64 numpy arithmetic, which wraps like the masked Python.
+    They stand up to the first draw that next_below would reject; that
+    step is then drawn by SeedStream itself, and the next chunk starts
+    from the state it leaves."""
+    state = seed & _MASK
+    i = n - 1
+    while i > 0:
+        k = min(i, _DRAW_CHUNK)
+        z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        bound = np.arange(i + 1, i + 1 - k, -1, dtype=np.uint64)
+        spill = (np.uint64(0) - bound) % bound  # 2^64 mod bound
+        rejected = np.flatnonzero((spill != 0) & (z >= np.uint64(0) - spill))
+        good = int(rejected[0]) if len(rejected) else k
+        yield from (z[:good] % bound[:good]).tolist()
+        state = (state + good * _GOLDEN) & _MASK
+        i -= good
+        if good < k:
+            stream = SeedStream(state)
+            yield stream.next_below(i + 1)
+            state = stream.state
+            i -= 1
 
 
 def permutation_vector(n: int, seed: int) -> np.ndarray:

@@ -41,7 +41,6 @@ GRID_RULES = 256
 class LocusResult:
     """Per-parameter component counts for one sweep, sorted by parameter."""
 
-    axis: str
     params: tuple
     component_counts: tuple[int, ...]
     generation: tuple[tuple[str, str], ...]
@@ -99,7 +98,6 @@ def connectivity_locus(
     counts = component_counts(image_tables(f) for f in families)
     gen = (("space", space_kind), ("maps", ",".join(format_map(m) for m in maps)))
     return LocusResult(
-        axis=f"n={n_values[0]}..{n_values[-1]}",
         params=n_values,
         component_counts=tuple(counts.tolist()),
         generation=gen,
@@ -181,7 +179,6 @@ def ca_mandelbrot(width: int, workers: int = 1) -> LocusResult:
     full[a, b] = full[b, a] = key_counts[cell_key]
     params = tuple((a, b) for a in range(GRID_RULES) for b in range(GRID_RULES))
     return LocusResult(
-        axis="rule pairs (a,b), 0..255 x 0..255, row=a col=b",
         params=params,
         component_counts=tuple(full.ravel().tolist()),
         generation=(("space", f"bits:{width}"), ("maps", "ca:a,ca:b")),

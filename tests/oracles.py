@@ -7,8 +7,9 @@ c = 0 on the upper-triangular ring; polynomial quotients carry coefficient
 tuples, low degree first; bit vector spaces carry 0/1 tuples whose leftmost
 bit is the most significant in the index.  The index codecs below spell
 that order out per space kind, and `apply` applies one map to one state.
-Nothing here uses the package's table, digit or payload code; the seeded
-shuffle is the only package part read, since it defines the perm maps.
+Nothing here uses the package's table, digit, payload or shuffle code; the
+seeded shuffle that defines the perm maps and the sampled distance sources
+is written out below one splitmix64 draw at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from functools import lru_cache
 from math import floor, gcd
 from typing import Any, Iterator
 
-from ringgraphs import rng
 from ringgraphs.maps import (
     Affine,
     CARule,
@@ -212,10 +212,34 @@ def _mat_pow(x, e: int, n):
     return result
 
 
+_MASK = (1 << 64) - 1
+
+
+def shuffled_range(n: int, seed: int) -> list[int]:
+    """Fisher-Yates shuffle of range(n): step i = n-1..1 swaps position i
+    with a uniform draw from [0, i] by rejection sampling on a splitmix64
+    stream started at the seed."""
+    table = list(range(n))
+    state = seed & _MASK
+    for i in range(n - 1, 0, -1):
+        limit = (1 << 64) - (1 << 64) % (i + 1)
+        while True:
+            state = (state + 0x9E3779B97F4A7C15) & _MASK
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                break
+        j = z % (i + 1)
+        table[i], table[j] = table[j], table[i]
+    return table
+
+
 @lru_cache(maxsize=8)
 def _perm_table(n: int, seed: int) -> tuple[int, ...]:
     """One shuffle per (n, seed), not one per state."""
-    return tuple(rng.shuffled_range(n, seed))
+    return tuple(shuffled_range(n, seed))
 
 
 def apply(expr: MapExpr, state: State) -> State | None:

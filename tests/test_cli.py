@@ -43,6 +43,7 @@ def test_gen_edges_and_dot(tmp_path):
     assert all(len(line.split()) == 2 for line in body.splitlines())
     dot_header, dot_body = split_header(read(dot), comment="//")
     assert dot_header["command"] == "gen"
+    assert "labels" not in dot_header
     assert dot_body.startswith("graph G {")
     assert body.count("\n") == dot_body.count(" -- ")
 
@@ -54,7 +55,8 @@ def test_gen_edges_and_dot(tmp_path):
 def test_gen_dot_labels_are_state_payloads(tmp_path, space, maps):
     dot = tmp_path / "g.dot"
     assert run(["gen", "--space", space, "--maps", maps, "--labels", "--out", str(dot)]) == 0
-    _, body = split_header(read(dot), comment="//")
+    header, body = split_header(read(dot), comment="//")
+    assert header["labels"] == "true"
     family = MapFamily(parse_maps(maps), parse_space(space))
     labels = [str(s.payload) for s in enumerate_states(family.space)]
     assert body == loop_dot(build_graph(family), labels)
@@ -155,6 +157,9 @@ def test_run_config_roundtrips_through_output(tmp_path):
         (["gen", "--space", "zn:12", "--maps", "x^2"], ".out"),
         (["scan", "locus", "--maps", "3x+1", "--space-kind", "zn", "--nmax", "20"], ".pbm"),
         (["gen", "--space", "zn:12", "--maps", "x^2"], ".pbm"),
+        (["gen", "--space", "zn:12", "--maps", "x^2", "--labels"], ".dot"),
+        (["gen", "--space", "mat2:2", "--maps", "x^2", "--labels"], ".dot"),
+        (["gen", "--space", "zn:12", "--maps", "x^2", "--labels"], ".edges"),
     ]
     for i, (argv, suffix) in enumerate(cases):
         first = tmp_path / f"first{i}{suffix}"

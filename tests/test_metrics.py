@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from ringgraphs import metrics, rng, survey
+from ringgraphs import metrics, survey
 from ringgraphs.graphs import build_graph, graph_from_edges, image_tables
 from ringgraphs.maps import (
     Affine,
@@ -36,7 +36,7 @@ from conftest import (
     loop_edge_triangle_counts,
     run_under_address_limit,
 )
-from oracles import UnionFind
+from oracles import UnionFind, shuffled_range
 
 
 def path3():
@@ -287,11 +287,73 @@ def test_sampled_distance_kernel_matches_dijkstra(monkeypatch, sources):
     monkeypatch.setattr(metrics, "SAMPLE_SOURCES", sources)
     g = scattered_graph(1200, seed=sources)
     member = metrics._largest_component(g)
-    pick = rng.shuffled_range(len(member), 3)[:sources]
+    pick = shuffled_range(len(member), 3)[:sources]
     seeded = member[np.sort(np.array(pick))]
     diameter, mu, sampled = metrics._distance_scan(g, seed=3)
     assert sampled == sources
     assert (diameter, mu) == dijkstra_scan(g, seeded)
+
+
+def hub_graph(size: int, seed: int):
+    """scattered_graph with two hubs in its largest component, joined to 40
+    and to 17 more of its vertices: degrees past 16, in padded slabs."""
+    g = scattered_graph(size, seed)
+    member = metrics._largest_component(g)
+    r = np.random.default_rng(seed)
+    us, vs = g.edge_arrays()
+    us, vs = [us], [vs]
+    for hub, spokes in zip(member[:2], (40, 17)):
+        vs.append(r.choice(member[member != hub], spokes, replace=False))
+        us.append(np.full(spokes, hub))
+    return graph_from_edges(g.vertex_count, np.concatenate(us), np.concatenate(vs))
+
+
+def slab_width(degree: int) -> int:
+    return degree if degree <= 16 else 1 << (degree - 1).bit_length()
+
+
+@pytest.mark.parametrize("entries", [1, 7, metrics._SLAB_ENTRIES])
+def test_degree_slabs_hold_every_neighbour_list(monkeypatch, entries):
+    monkeypatch.setattr(metrics, "_SLAB_ENTRIES", entries)
+    g = hub_graph(300, seed=1)
+    member = metrics._largest_component(g)
+    m = len(member)
+    rank, blocks = metrics._degree_slabs(g, member)
+    old = np.empty(m, dtype=np.int64)
+    old[rank[member]] = member
+    assert sorted(old.tolist()) == member.tolist()
+    rows = []
+    for lo, hi, table in blocks:
+        width = table.shape[0]
+        assert table.shape == (width, hi - lo) and table.size <= max(entries, width)
+        for r in range(lo, hi):
+            nbrs = g.neighbor_array(old[r])
+            assert width == slab_width(len(nbrs))
+            column = table[:, r - lo]
+            assert old[column[: len(nbrs)]].tolist() == nbrs.tolist()
+            assert (column[len(nbrs) :] == m).all()
+        rows += range(lo, hi)
+    assert rows == list(range(m))
+    widths = [table.shape[0] for _, _, table in blocks]
+    assert widths == sorted(widths) and {32, 64} <= set(widths)
+
+
+@pytest.mark.parametrize("entries", [1, 7])
+def test_distance_kernel_with_hubs_and_small_blocks(monkeypatch, entries):
+    # every block a column or a few, past isolated vertices and a second
+    # component; every source, then 1, 63, 65 and 513 sampled sources
+    monkeypatch.setattr(metrics, "_SLAB_ENTRIES", entries)
+    g = hub_graph(700, seed=entries)
+    assert (g.degrees() == 0).any() and (g.degrees() > 16).sum() == 2
+    member = metrics._largest_component(g)
+    assert metrics._distance_scan(g)[:2] == dijkstra_scan(g, member)
+    monkeypatch.setattr(metrics, "EXACT_BFS_LIMIT", 64)
+    for sources in (1, 63, 65, 513):
+        monkeypatch.setattr(metrics, "SAMPLE_SOURCES", sources)
+        seeded = member[np.sort(shuffled_range(len(member), 3)[:sources])]
+        diameter, mu, sampled = metrics._distance_scan(g, seed=3)
+        assert sampled == sources
+        assert (diameter, mu) == dijkstra_scan(g, seeded)
 
 
 # full_report of x^2+1,x^2+2 on zn:2^17, the same before and after the
