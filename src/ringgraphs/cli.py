@@ -166,6 +166,8 @@ def _scan_locus(space_kind: str, maps: str | None, nmax: int) -> str:
 
 
 def _scan_ca_mandelbrot(width: int, workers: int) -> str:
+    if workers < 0:
+        raise ValueError(f"--workers must be >= 0, not {workers}")
     workers = workers or os.cpu_count() or 1
     print(f"workers={workers}", file=sys.stderr)
     return to_pbm(ca_mandelbrot(width, workers=workers))

@@ -1,11 +1,21 @@
 """Finite state spaces with a fixed bijection onto {0..size-1}.
 
 Every space indexes its states through one layout: `digits` turns an index
-into a tuple of columns and `pack` turns columns back into an index.
-Residue spaces have one column, the member residue.  Digit spaces have one
-column per place value: matrix spaces carry row-major entry tuples,
-polynomial quotients carry low-degree-first coefficient tuples, and bit
-vector spaces carry 0/1 tuples.  All spaces are immutable and safe to share.
+into a tuple of columns and `pack` turns columns back into an index.  Each
+kind is a frozen dataclass that states its `kind`, the integers of its
+specifier as fields, and what sets it apart from its family:
+
+- residue spaces (subsets of Z_n) have one column, the member residue.  By
+  default the members are first, first+1, ..., n-1, so a kind declares
+  `first` and `too_small`, the error for n <= first; the units override
+  the layout with a lookup table.
+- digit spaces have one column per place value, and a kind declares `free`
+  (how many digits vary) and `places`: matrix spaces carry row-major entry
+  tuples, polynomial quotients low-degree-first coefficient tuples, and
+  bit vectors 0/1 tuples (with `radix` 2 in place of n).
+
+Each family checks the fields and the size cap once, in `__post_init__`.
+All spaces are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -21,13 +31,13 @@ SIZE_CAP = 1 << 25
 
 
 class StateSpace:
-    """Base class; each concrete space is a dataclass with a kind and the
-    integers of its specifier as fields, and defines size, digits and pack.
+    """Base class: a kind, and size, digits and pack.
 
     `digits` and `pack` take an int or an int64 array of indices and
     columns alike, so one layout serves single states and whole tables."""
 
     kind: str = ""
+    too_small = "n must be >= 1"  # the error for a field below its least value
 
     @property
     def size(self) -> int:
@@ -49,41 +59,30 @@ class StateSpace:
         """The specifier parse_space reads back: the kind, then each field."""
         return ":".join([self.kind] + [str(getattr(self, f.name)) for f in fields(self)])
 
-    def _check_cap(self, size: int | None = None) -> None:
-        size = self.size if size is None else size
-        if size > SIZE_CAP:
-            raise ValueError(
-                f"space {self.spec()} has {size} states, above the cap {SIZE_CAP}"
-            )
+    def _check_cap(self) -> None:
+        if self.size > SIZE_CAP:
+            # Python prints no int of over 4300 digits: give its bit length
+            bits = self.size.bit_length()
+            count = self.size if bits <= 10_000 else f"at least 2^{bits - 1}"
+            raise ValueError(f"space {self.spec()} has {count} states, above the cap {SIZE_CAP}")
 
 
+@dataclass(frozen=True)
 class ResidueSpace(StateSpace):
     """Subsets of Z_n; payloads are integers in [0, n).  `pack` takes
     residues already reduced mod n and gives -1 for a residue outside the
     space (an escape).
 
     The space needs n > first, so first + 1 is the smallest modulus of its
-    kind."""
+    kind.  The default layout is the run first, first+1, ..., n-1."""
 
     n: int
     first = 0
-    too_small = "n must be >= 1"  # the error for n <= first
 
     def __post_init__(self):
         if self.n <= self.first:
             raise ValueError(self.too_small)
         self._check_cap()
-
-    def payloads(self) -> list:
-        """Every member residue in index order."""
-        return self.digits(np.arange(self.size, dtype=np.int64))[0].tolist()
-
-
-@dataclass(frozen=True)
-class _ResidueRun(ResidueSpace):
-    """The residues first, first+1, ..., n-1 in order."""
-
-    n: int
 
     @property
     def size(self) -> int:
@@ -96,22 +95,24 @@ class _ResidueRun(ResidueSpace):
         (residue,) = digits
         return np.maximum(residue - self.first, -1)
 
+    def payloads(self) -> list:
+        """Every member residue in index order."""
+        return self.digits(np.arange(self.size, dtype=np.int64))[0].tolist()
 
-class Zn(_ResidueRun):
+
+class Zn(ResidueSpace):
     kind = "zn"
 
 
-class ZnNonzero(_ResidueRun):
+class ZnNonzero(ResidueSpace):
     kind, first, too_small = "znz", 1, "nonzero residues need n >= 2"
 
 
-class ZnFromTwo(_ResidueRun):
+class ZnFromTwo(ResidueSpace):
     kind, first, too_small = "from2", 2, "the {2..n-1} space needs n >= 3"
 
 
-@dataclass(frozen=True)
 class ZnUnits(ResidueSpace):
-    n: int
     kind = "units"
 
     @property
@@ -141,20 +142,26 @@ class ZnUnits(ResidueSpace):
 
 
 class DigitSpace(StateSpace):
-    """States are tuples of digits base `radix`; the index of a state is the
-    sum of digit * place over `places`.  A place of 0 pins its digit at 0."""
+    """States are tuples of digits base `radix` (n unless a kind says
+    otherwise); the index of a state is the sum of digit * place over
+    `places`.  A place of 0 pins its digit at 0, and `free` counts the
+    places that are not 0."""
+
+    free: int
+    places: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(getattr(self, f.name) < 1 for f in fields(self)):
+            raise ValueError(self.too_small)
+        self._check_cap()  # from radix and free, before any place is built
 
     @property
     def radix(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def places(self) -> tuple[int, ...]:
-        raise NotImplementedError
+        return self.n
 
     @property
     def size(self) -> int:
-        return self.radix ** sum(1 for p in self.places if p)
+        return self.radix**self.free
 
     def digits(self, index) -> tuple:
         return tuple(index // p % self.radix if p else index * 0 for p in self.places)
@@ -168,16 +175,7 @@ class Mat2(DigitSpace):
     """Full 2x2 matrix ring over Z_n; payload (a, b, c, d) row-major."""
 
     n: int
-    kind = "mat2"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        self._check_cap()
-
-    @property
-    def radix(self) -> int:
-        return self.n
+    kind, free = "mat2", 4
 
     @property
     def places(self) -> tuple[int, ...]:
@@ -189,16 +187,7 @@ class UpperTri2(DigitSpace):
     """Upper triangular 2x2 matrices over Z_n; payload (a, b, 0, d)."""
 
     n: int
-    kind = "ut2"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        self._check_cap()
-
-    @property
-    def radix(self) -> int:
-        return self.n
+    kind, free = "ut2", 3
 
     @property
     def places(self) -> tuple[int, ...]:
@@ -211,16 +200,11 @@ class PolyQuot(DigitSpace):
 
     n: int
     k: int
-    kind = "poly"
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ValueError("need n >= 1 and k >= 1")
-        self._check_cap(self.n**self.k)  # before any of the k places is built
+    kind, too_small = "poly", "need n >= 1 and k >= 1"
 
     @property
-    def radix(self) -> int:
-        return self.n
+    def free(self) -> int:
+        return self.k
 
     @property
     def places(self) -> tuple[int, ...]:
@@ -233,16 +217,11 @@ class BitVec(DigitSpace):
     most significant in the index."""
 
     width: int
-    kind = "bits"
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        self._check_cap(1 << self.width)  # before any of the places is built
+    kind, radix, too_small = "bits", 2, "width must be >= 1"
 
     @property
-    def radix(self) -> int:
-        return 2
+    def free(self) -> int:
+        return self.width
 
     @property
     def places(self) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ All sweeps are deterministic; seeded experiments reproduce bit-for-bit from
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .maps import (
     format_map,
     image_table,
 )
-from .metrics import component_counts, components, full_report, triangle_count  # noqa: F401
+from .metrics import component_counts, components, euler_characteristic, full_report  # noqa: F401
 from .numtheory import first_primes, is_primitive_root
 from .spaces import BitVec, Zn, parse_space
 
@@ -111,7 +112,7 @@ def euler_sequence(n_max: int) -> tuple[int, ...]:
     out = []
     for n in range(1, n_max + 1):
         g = build_graph(MapFamily((PowerPlus(2, 0),), Zn(n)))
-        out.append(g.vertex_count - g.edge_count + triangle_count(g))
+        out.append(euler_characteristic(g))
     return tuple(out)
 
 
@@ -161,8 +162,9 @@ def ca_mandelbrot(width: int, workers: int = 1) -> LocusResult:
     graph to an isomorphic one.  Components are counted once per orbit of
     the unordered pair {a, b} under mirror and complement (8,896 of the
     32,896 pairs) and copied to the rest of the orbit; workers > 1 splits
-    those representative pairs over processes, and the grid is the same
-    for every worker count."""
+    those representative pairs into that many parts, counted by a pool of
+    at most os.cpu_count() processes, and the grid is the same for every
+    worker count."""
     if not 3 <= width <= 20:
         raise ValueError("width must be in 3..20")
     a, b = np.triu_indices(GRID_RULES)
@@ -171,7 +173,7 @@ def ca_mandelbrot(width: int, workers: int = 1) -> LocusResult:
         key_counts = _ca_cell_counts(width, keys)
     else:
         parts = np.array_split(keys, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             key_counts = np.concatenate(
                 list(pool.map(_ca_cell_counts, [width] * workers, parts))
             )

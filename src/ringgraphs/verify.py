@@ -226,15 +226,14 @@ def verify_power_pair(a: int, b: int, n_max: int) -> Verdict:
     return Verdict("power-pair", f"x^{a},x^{b},P={ps},2..{n_max}", agree, tuple(bad))
 
 
-def verify_affine_table(n_max: int, containment_max: int | None = None) -> Verdict:
+def verify_affine_table(n_max: int) -> Verdict:
     """Each tabulated (a,b) cell: the connectivity locus of ax+b on Z_n
     equals the predicted (double-)smooth set up to n_max.  Containment: every
-    connected n up to containment_max (default max(n_max, 500)) is smooth
-    over the primes of a and a-1, for all a <= 8, b < a."""
+    connected n up to max(n_max, 500) is smooth over the primes of a and
+    a-1, for all a <= 8, b < a."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if containment_max is None:
-        containment_max = max(n_max, 500)
+    containment_max = max(n_max, 500)
     agree, bad = 0, []
     ns = range(1, containment_max + 1)
     for a in range(2, 9):

@@ -122,7 +122,7 @@ def test_07_power_map_connectivity():
 
 
 def test_08_affine_table():
-    verdict = verify.verify_affine_table(200, containment_max=500)
+    verdict = verify.verify_affine_table(200)
     assert report("08 affine-table", verdict.passed), verdict.to_line()
 
 

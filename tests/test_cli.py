@@ -325,6 +325,14 @@ def test_scan_ca_mandelbrot_to_stdout_matches_the_file(tmp_path, capsys):
     assert config.fields == (("kind", "ca-mandelbrot"), ("width", "3"))
 
 
+def test_scan_ca_mandelbrot_rejects_negative_workers(tmp_path, capsys):
+    out = tmp_path / "m.pbm"
+    argv = ["scan", "ca-mandelbrot", "--width", "3", "--workers", "-1", "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: --workers must be >= 0, not -1\n"
+    assert not out.exists()
+
+
 def test_scan_perm_lambda_reproducible(tmp_path):
     out1 = tmp_path / "l1.csv"
     out2 = tmp_path / "l2.csv"

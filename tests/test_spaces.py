@@ -49,11 +49,43 @@ def test_size_cap():
     with pytest.raises(ValueError):
         BitVec(26)
     Zn(1 << 25)  # exactly at the cap is fine
-    # far above the cap the check comes before any place value is built
-    with pytest.raises(ValueError):
-        PolyQuot(2, 10**6)
-    with pytest.raises(ValueError):
-        BitVec(10**6)
+
+
+# the smallest invalid specifier of each kind, and the matrix kinds far above
+# the cap: the exact message parse_space raises
+CAP = "above the cap 33554432"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("zn:0", "n must be >= 1"),
+        ("znz:1", "nonzero residues need n >= 2"),
+        ("units:0", "n must be >= 1"),
+        ("from2:2", "the {2..n-1} space needs n >= 3"),
+        ("mat2:0", "n must be >= 1"),
+        ("ut2:0", "n must be >= 1"),
+        ("poly:0:3", "need n >= 1 and k >= 1"),
+        ("poly:3:0", "need n >= 1 and k >= 1"),
+        ("bits:0", "width must be >= 1"),
+        (f"mat2:{10**9}", f"space mat2:{10**9} has {10**36} states, {CAP}"),
+        (f"ut2:{10**12}", f"space ut2:{10**12} has {10**36} states, {CAP}"),
+    ],
+)
+def test_invalid_space_messages(spec, message):
+    with pytest.raises(ValueError) as exc:
+        parse_space(spec)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spec", [f"poly:2:{10**6}", f"bits:{10**6}"])
+def test_cap_message_for_unprintable_counts(spec):
+    # far above the cap the check comes before any place value is built;
+    # 2^1000000 has more digits than Python prints (4300), so the message
+    # gives the count by its bit length
+    with pytest.raises(ValueError) as exc:
+        parse_space(spec)
+    assert str(exc.value) == f"space {spec} has at least 2^1000000 states, {CAP}"
 
 
 def test_index_examples():

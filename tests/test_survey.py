@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,33 @@ def test_ca_workers_give_identical_grid(width3_grid):
     parallel = survey.ca_mandelbrot(3, workers=2)
     assert parallel.component_counts == width3_grid.component_counts
     assert survey.to_pbm(parallel) == survey.to_pbm(width3_grid)
+
+
+def test_ca_pool_has_at_most_one_process_per_cpu(width3_grid, monkeypatch):
+    # a stand-in pool that records what it is asked for and counts every
+    # part in one in-process call, so no process is started
+    asked, split = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, widths, parts):
+            split.append(len(parts))
+            counts = fn(widths[0], np.concatenate(parts))
+            return np.split(counts, np.cumsum([len(p) for p in parts])[:-1])
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", RecordingPool)
+    many = survey.ca_mandelbrot(3, workers=5000)
+    assert asked == [min(5000, os.cpu_count() or 1)]
+    assert split == [5000]  # workers still sets the number of parts
+    assert many.component_counts == width3_grid.component_counts
 
 
 def _bit_reversal(width):

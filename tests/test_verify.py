@@ -81,7 +81,7 @@ def test_power_pair_examples():
 
 
 def test_affine_table_small():
-    v = verify.verify_affine_table(100, containment_max=150)
+    v = verify.verify_affine_table(100)
     assert v.passed
     assert v.agreements == 34 + 35  # tabulated cells plus containment pairs
 
