@@ -28,9 +28,6 @@ class SimpleGraph:
     indices: np.ndarray = field(repr=False)
     edge_count: int
 
-    def neighbor_array(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 

@@ -8,18 +8,20 @@ case).  The grammar, one expression per comma-separated item:
     affine    := [INT] "x" (("+"|"-") INT)?      2x, 3x+1, x, x-1
     power     := "x^" INT (("+"|"-") INT)?       x^2, x^2+1, x^3
     exp       := INT "^x"                        2^x
-    named     := "sigma" | "succ" | "deriv" | "square"
-               | "addc:" INT ("," INT)*          constant polynomial, low degree first
-               | "ca:" INT                       cellular automaton rule 0..255
-               | "perm:" INT                     seeded permutation of the index set
-               | "ws:" REAL ":" INT              floor(x^(1+eps)) + shift
-               | "matquad:" INT,INT,INT,INT      x^2 + A, row-major entries of A
+    named     := WORD (":" FIELD)*, the fields of the kind in order, a tuple
+                 as a comma list (a comma then a digit continues it):
+                 sigma | succ | deriv | square     (succ is x+1)
+                 addc:C0,C1,...      constant polynomial, low degree first
+                 ca:RULE             cellular automaton rule 0..255
+                 perm:SEED           seeded permutation of the index set
+                 ws:EPS:SHIFT        floor(x^(1+eps)) + shift
+                 matquad:A,B,C,D     x^2 + A, row-major entries of A
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,7 +50,7 @@ class MapParseError(ValueError):
 
 @dataclass(frozen=True)
 class MapExpr:
-    pass
+    word = ""  # a named kind's word: its text is the word, then each field
 
 
 @dataclass(frozen=True)
@@ -70,31 +72,38 @@ class Exp(MapExpr):
 
 @dataclass(frozen=True)
 class Dickson(MapExpr):
-    pass
+    word = "sigma"
 
 
 @dataclass(frozen=True)
 class MatQuad(MapExpr):
+    word = "matquad"
     entries: tuple[int, int, int, int]
+
+    def __post_init__(self):
+        if len(self.entries) != 4:
+            raise ValueError("a matrix constant has 4 entries")
 
 
 @dataclass(frozen=True)
 class PolyDeriv(MapExpr):
-    pass
+    word = "deriv"
 
 
 @dataclass(frozen=True)
 class PolySquare(MapExpr):
-    pass
+    word = "square"
 
 
 @dataclass(frozen=True)
 class PolyAddConst(MapExpr):
+    word = "addc"
     coeffs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class CARule(MapExpr):
+    word = "ca"
     rule: int
 
     def __post_init__(self):
@@ -104,11 +113,13 @@ class CARule(MapExpr):
 
 @dataclass(frozen=True)
 class Perm(MapExpr):
+    word = "perm"
     seed: int
 
 
 @dataclass(frozen=True)
 class WSMap(MapExpr):
+    word = "ws"
     epsilon: float
     shift: int
 
@@ -184,6 +195,28 @@ def _signed_tail(s: _Scanner) -> int:
     return 0
 
 
+_NAMED = {
+    cls.word: cls
+    for cls in (Dickson, PolyDeriv, PolySquare, PolyAddConst, CARule, Perm, WSMap, MatQuad)
+}
+
+
+def _field(s: _Scanner, annotation: str):
+    """One field of a named kind, read by its annotation."""
+    if annotation == "float":
+        return s.real()
+    if annotation == "int":
+        return s.int_()
+    values = [s.int_()]
+    # a tuple is greedy, but a comma followed by a non-digit starts the next item
+    while True:
+        save = s.pos
+        if not (s.take(",") and s.peek().isdigit()):
+            s.pos = save
+            return tuple(values)
+        values.append(s.int_())
+
+
 def _parse_one(s: _Scanner) -> MapExpr:
     ch = s.peek()
     if ch.isdigit():
@@ -199,52 +232,23 @@ def _parse_one(s: _Scanner) -> MapExpr:
             e = s.int_()
             return PowerPlus(e, _signed_tail(s))
         return Affine(1, _signed_tail(s))
-    if word == "sigma":
-        return Dickson()
     if word == "succ":
         return Affine(1, 1)
-    if word == "deriv":
-        return PolyDeriv()
-    if word == "square":
-        return PolySquare()
-    if word == "addc":
+    if word not in _NAMED:
+        if word:
+            raise MapParseError(f"unknown map name {word!r}", s.text, s.pos - len(word))
+        raise MapParseError("expected a map expression", s.text, s.pos)
+    cls = _NAMED[word]
+    starts, values = [], []
+    for f in fields(cls):
         s.expect(":")
-        coeffs = [s.int_()]
-        # greedy, but a comma followed by a non-digit belongs to the list
-        while True:
-            save = s.pos
-            if not s.take(","):
-                break
-            if not s.peek().isdigit():
-                s.pos = save
-                break
-            coeffs.append(s.int_())
-        return PolyAddConst(tuple(coeffs))
-    if word == "ca":
-        s.expect(":")
-        pos = s.pos
-        rule = s.int_()
-        if not 0 <= rule <= 255:
-            raise MapParseError("rule number must be 0..255", s.text, pos)
-        return CARule(rule)
-    if word == "perm":
-        s.expect(":")
-        return Perm(s.int_())
-    if word == "ws":
-        s.expect(":")
-        eps = s.real()
-        s.expect(":")
-        return WSMap(eps, s.int_())
-    if word == "matquad":
-        s.expect(":")
-        vals = [s.int_()]
-        for _ in range(3):
-            s.expect(",")
-            vals.append(s.int_())
-        return MatQuad(tuple(vals))
-    if word:
-        raise MapParseError(f"unknown map name {word!r}", s.text, s.pos - len(word))
-    raise MapParseError("expected a map expression", s.text, s.pos)
+        starts.append(s.pos)
+        values.append(_field(s, f.type))
+    try:
+        return cls(*values)
+    except ValueError as exc:
+        # each kind checks only its first field
+        raise MapParseError(str(exc), s.text, starts[0]) from None
 
 
 def parse_map(text: str) -> MapExpr:
@@ -279,49 +283,33 @@ def format_map(expr: MapExpr) -> str:
         return f"{head}+{expr.c}" if expr.c > 0 else f"{head}-{-expr.c}"
     if isinstance(expr, Exp):
         return f"{expr.base}^x"
-    if isinstance(expr, Dickson):
-        return "sigma"
-    if isinstance(expr, PolyDeriv):
-        return "deriv"
-    if isinstance(expr, PolySquare):
-        return "square"
-    if isinstance(expr, PolyAddConst):
-        return "addc:" + ",".join(str(c) for c in expr.coeffs)
-    if isinstance(expr, CARule):
-        return f"ca:{expr.rule}"
-    if isinstance(expr, Perm):
-        return f"perm:{expr.seed}"
-    if isinstance(expr, WSMap):
-        return f"ws:{expr.epsilon!r}:{expr.shift}"
-    if isinstance(expr, MatQuad):
-        return "matquad:" + ",".join(str(v) for v in expr.entries)
-    raise TypeError(f"unknown map expression {expr!r}")
+    values = (getattr(expr, f.name) for f in fields(expr))
+    texts = [",".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in values]
+    return ":".join([expr.word, *texts])
 
 
 # ---------------------------------------------------------------------------
 # applicability and the map family
 
+# the space families each map kind acts on
+_ACTS_ON = {
+    **dict.fromkeys((Affine, Exp, Dickson, WSMap), (ResidueSpace,)),
+    **dict.fromkeys((PolyDeriv, PolySquare, PolyAddConst), (PolyQuot,)),
+    PowerPlus: (ResidueSpace, Mat2, UpperTri2),
+    MatQuad: (Mat2, UpperTri2),
+    CARule: (BitVec,),
+    Perm: (StateSpace,),
+}
 
-_RESIDUE_EXPRS = (Affine, PowerPlus, Exp, Dickson, WSMap)
-_POLY_EXPRS = (PolyDeriv, PolySquare, PolyAddConst)
 
-
-def applicable(expr: MapExpr, space: StateSpace) -> bool:
-    if isinstance(expr, Perm):
-        return True
-    if isinstance(space, ResidueSpace):
-        return isinstance(expr, _RESIDUE_EXPRS)
-    if isinstance(space, Mat2):
-        return isinstance(expr, (MatQuad, PowerPlus))
-    if isinstance(space, UpperTri2):
-        if isinstance(expr, MatQuad):
-            return expr.entries[2] % space.n == 0
-        return isinstance(expr, PowerPlus)
-    if isinstance(space, PolyQuot):
-        return isinstance(expr, _POLY_EXPRS)
-    if isinstance(space, BitVec):
-        return isinstance(expr, CARule) and space.width >= 3
-    return False
+def _check_applicable(expr: MapExpr, space: StateSpace) -> None:
+    """Raise ValueError unless expr acts on space."""
+    if not isinstance(space, _ACTS_ON[type(expr)]):
+        raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
+    if isinstance(expr, MatQuad) and isinstance(space, UpperTri2) and expr.entries[2] % space.n:
+        raise ValueError("matrix constant must be upper triangular here")
+    if isinstance(expr, CARule) and space.width < 3:
+        raise ValueError("cellular automata need width >= 3")
 
 
 @dataclass(frozen=True)
@@ -335,10 +323,7 @@ class MapFamily:
         if not self.maps:
             raise ValueError("a map family needs at least one map")
         for m in self.maps:
-            if not applicable(m, self.space):
-                raise ValueError(
-                    f"map {format_map(m)!r} is not applicable to {self.space.spec()}"
-                )
+            _check_applicable(m, self.space)
 
     def provenance(self) -> str:
         return ",".join(format_map(m) for m in self.maps)
@@ -392,7 +377,9 @@ def _mat_mul(x, y, n):
 def image_table(expr: MapExpr, space: StateSpace) -> np.ndarray:
     """Image index for every state index; -1 where the image escapes the
     space (restricted residue subspaces only).  Tables are built in chunks
-    of _TABLE_CHUNK states, so the columns stay bounded up to the cap."""
+    of _TABLE_CHUNK states, so the columns stay bounded up to the cap.
+    A map that does not act on the space is a ValueError."""
+    _check_applicable(expr, space)
     size = space.size
     if isinstance(expr, Perm):
         return rng.permutation_vector(size, expr.seed)
@@ -405,7 +392,8 @@ def image_table(expr: MapExpr, space: StateSpace) -> np.ndarray:
 
 
 def _images(expr: MapExpr, space: StateSpace, x: tuple) -> tuple:
-    """Image columns of the columns x of one chunk of a space."""
+    """Image columns of one chunk's columns x, for a map that acts on the
+    space: in each space family the last formula is the one kind left's."""
     if isinstance(space, ResidueSpace):
         n = space.n
         (r,) = x
@@ -419,30 +407,26 @@ def _images(expr: MapExpr, space: StateSpace, x: tuple) -> tuple:
         if isinstance(expr, Dickson):
             lo = int(r[0])
             return (proper_divisor_sums(lo, int(r[-1]) + 1)[r - lo] % n,)
-        if isinstance(expr, WSMap):
-            # Python's float power, as in the pointwise oracle: numpy's
-            # vectorised power can differ from it in the last bit, and it
-            # raises OverflowError where numpy gives inf.  fmod is exact, so
-            # only values below n are cast (casting a float at or above 2^63
-            # to int64 is undefined).
-            p = 1.0 + expr.epsilon
-            raw = np.floor(np.array([v**p for v in r.astype(np.float64).tolist()]))
-            return ((np.fmod(raw, n).astype(np.int64) + expr.shift % n) % n,)
-    else:
-        n = space.radix
+        # WSMap: Python's float power, as in the pointwise oracle: numpy's
+        # vectorised power can differ from it in the last bit, and it raises
+        # OverflowError where numpy gives inf.  fmod is exact, so only values
+        # below n are cast (casting a float at or above 2^63 to int64 is
+        # undefined).
+        p = 1.0 + expr.epsilon
+        raw = np.floor(np.array([v**p for v in r.astype(np.float64).tolist()]))
+        return ((np.fmod(raw, n).astype(np.int64) + expr.shift % n) % n,)
 
+    n = space.radix
     if isinstance(space, (Mat2, UpperTri2)):
         if isinstance(expr, MatQuad):
             e = [v % n for v in expr.entries]
-            if isinstance(space, UpperTri2) and e[2] != 0:
-                raise ValueError("matrix constant must be upper triangular here")
             return tuple((v + c) % n for v, c in zip(_mat_mul(x, x, n), e))
-        if isinstance(expr, PowerPlus):
-            zero = x[0] * 0
-            one = (zero + 1, zero, zero, zero + 1)
-            a, b, c, d = _power(x, expr.e, one, lambda u, v: _mat_mul(u, v, n))
-            cc = expr.c % n
-            return ((a + cc) % n, b, c, (d + cc) % n)
+        # PowerPlus
+        zero = x[0] * 0
+        one = (zero + 1, zero, zero, zero + 1)
+        a, b, c, d = _power(x, expr.e, one, lambda u, v: _mat_mul(u, v, n))
+        cc = expr.c % n
+        return ((a + cc) % n, b, c, (d + cc) % n)
 
     if isinstance(space, PolyQuot):
         k = len(x)
@@ -456,20 +440,15 @@ def _images(expr: MapExpr, space: StateSpace, x: tuple) -> tuple:
                 middle = x[j // 2] * x[j // 2] if j % 2 == 0 else 0
                 out.append((2 * twice + middle) % n)
             return tuple(out)
-        if isinstance(expr, PolyAddConst):
-            const = expr.coeffs + (0,) * k
-            return tuple((x[j] + const[j] % n) % n for j in range(k))
+        # PolyAddConst
+        const = expr.coeffs + (0,) * k
+        return tuple((x[j] + const[j] % n) % n for j in range(k))
 
-    if isinstance(space, BitVec) and isinstance(expr, CARule):
-        w = len(x)
-        if w < 3:
-            raise ValueError("cellular automata need width >= 3")
-        return tuple(
-            expr.rule >> (4 * x[i - 1] + 2 * x[i] + x[(i + 1) % w]) & 1
-            for i in range(w)
-        )
-
-    raise ValueError(f"{format_map(expr)!r} not applicable to {space.spec()}")
+    # a CARule on a BitVec
+    w = len(x)
+    return tuple(
+        expr.rule >> (4 * x[i - 1] + 2 * x[i] + x[(i + 1) % w]) & 1 for i in range(w)
+    )
 
 
 # ---------------------------------------------------------------------------

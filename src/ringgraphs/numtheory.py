@@ -201,20 +201,9 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def proper_divisor_sum(x: int) -> int:
-    """Sum of divisors d of x with 1 <= d < x; 0 for x in {0, 1}."""
-    if x < 0:
-        raise ValueError("proper_divisor_sum expects a nonnegative integer")
-    if x <= 1:
-        return 0
-    total = 1
-    for p, e in factorize(x).factors:
-        total *= (p ** (e + 1) - 1) // (p - 1)
-    return total - x
-
-
 def proper_divisor_sums(start: int, stop: int) -> np.ndarray:
-    """Table s[x - start] = proper_divisor_sum(x) for start <= x < stop.
+    """Table s[x - start] = the sum of the divisors d < x of x (0 for x in
+    {0, 1}), for start <= x < stop.
 
     Each divisor d <= sqrt(x) of x pairs with x/d, so the work is one
     strided pass per d below sqrt(stop)."""

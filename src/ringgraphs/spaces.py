@@ -59,12 +59,18 @@ class StateSpace:
         """The specifier parse_space reads back: the kind, then each field."""
         return ":".join([self.kind] + [str(getattr(self, f.name)) for f in fields(self)])
 
-    def _check_cap(self) -> None:
-        if self.size > SIZE_CAP:
-            # Python prints no int of over 4300 digits: give its bit length
-            bits = self.size.bit_length()
-            count = self.size if bits <= 10_000 else f"at least 2^{bits - 1}"
-            raise ValueError(f"space {self.spec()} has {count} states, above the cap {SIZE_CAP}")
+    def _check_cap(self, bits: int = 0) -> None:
+        """Raise if the space is above the cap.  `bits` is a lower bound on
+        log2 of the size from the fields alone: past 10,000 bits the size is
+        not built (a far-off digit space would take seconds), and a count
+        past 10,000 bits, which Python would not print, is given as a power
+        of two at or below it."""
+        if bits <= 10_000:
+            if self.size <= SIZE_CAP:
+                return
+            bits = self.size.bit_length() - 1
+        count = self.size if bits < 10_000 else f"at least 2^{bits}"
+        raise ValueError(f"space {self.spec()} has {count} states, above the cap {SIZE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,9 @@ class DigitSpace(StateSpace):
     def __post_init__(self):
         if any(getattr(self, f.name) < 1 for f in fields(self)):
             raise ValueError(self.too_small)
-        self._check_cap()  # from radix and free, before any place is built
+        # from radix and free, before any place is built; 2^bits <= the
+        # size, with equality for radix 2
+        self._check_cap(self.free * (self.radix.bit_length() - 1))
 
     @property
     def radix(self) -> int:

@@ -26,7 +26,7 @@ from .numtheory import (
     smooth_set,
     double_smooth_set,
 )
-from .spaces import SPACE_KINDS, Mat2, UpperTri2
+from .spaces import SPACE_KINDS, Mat2
 from .survey import connectivity_locus
 
 # primes up to 103 with / without 2 as a primitive root (so: connected /
@@ -279,13 +279,6 @@ def verify_matrix_example() -> Verdict:
     count = components(build_graph(family))[0]
     bad = () if count == 1 else (f"components={count}",)
     return Verdict("matrix-example", "mat2:5 x^2+[[1,2],[2,4]]", 1 - len(bad), bad)
-
-
-def upper_triangular_component_count(n: int) -> int:
-    """Component count of the squaring graph on upper triangular 2x2
-    matrices over Z_n (at least 2 is expected for n = 5)."""
-    family = MapFamily((PowerPlus(2, 0),), UpperTri2(n))
-    return components(build_graph(family))[0]
 
 
 # claim id -> (checker, {parameter: default}); run_claim and the verify

@@ -16,7 +16,7 @@ import ringgraphs
 from ringgraphs import maps
 from ringgraphs.graphs import SimpleGraph
 
-from oracles import apply, enumerate_states, index_of
+from oracles import apply, enumerate_states, index_of, neighbor_array
 
 
 def naive_is_prime(n: int) -> bool:
@@ -130,7 +130,7 @@ def graph_edges(g: SimpleGraph) -> set[tuple[int, int]]:
 
 
 def brute_triangles(g: SimpleGraph) -> int:
-    adj = [set(g.neighbor_array(v).tolist()) for v in range(g.vertex_count)]
+    adj = [set(neighbor_array(g, v).tolist()) for v in range(g.vertex_count)]
     count = 0
     for u, v, w in combinations(range(g.vertex_count), 3):
         if v in adj[u] and w in adj[u] and w in adj[v]:
@@ -145,14 +145,14 @@ def loop_edge_triangle_counts(g: SimpleGraph) -> np.ndarray:
     common = np.empty(len(us), dtype=np.int64)
     for i in range(len(us)):
         common[i] = np.intersect1d(
-            g.neighbor_array(us[i]), g.neighbor_array(vs[i]), assume_unique=True
+            neighbor_array(g, us[i]), neighbor_array(g, vs[i]), assume_unique=True
         ).size
     return common
 
 
 def brute_has_k4(g: SimpleGraph) -> bool:
     """Some vertex u with three pairwise adjacent higher neighbours."""
-    adj = [set(g.neighbor_array(v).tolist()) for v in range(g.vertex_count)]
+    adj = [set(neighbor_array(g, v).tolist()) for v in range(g.vertex_count)]
     for u in range(g.vertex_count):
         higher = sorted(x for x in adj[u] if x > u)
         for v, w, x in combinations(higher, 3):
@@ -166,7 +166,7 @@ def bfs_distances(g: SimpleGraph, source: int) -> dict[int, int]:
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in g.neighbor_array(u):
+        for v in neighbor_array(g, u):
             v = int(v)
             if v not in dist:
                 dist[v] = dist[u] + 1
@@ -174,23 +174,24 @@ def bfs_distances(g: SimpleGraph, source: int) -> dict[int, int]:
     return dist
 
 
-def run_under_address_limit(code: str, limit: int) -> str:
-    """Stdout of `python -c code` in a child whose address space is capped
-    at `limit` bytes (the cap is set in the child only), with one BLAS
-    thread so that thread stacks do not count against it."""
+def run_under_rlimit(code: str, rlimit: str, limit: int) -> str:
+    """Stdout of `python -c code` in a child whose `resource` limit named
+    `rlimit` (RLIMIT_AS in bytes, RLIMIT_CPU in seconds) is `limit`, set in
+    the child only, with one BLAS thread so that thread stacks do not count
+    against an address-space limit."""
     package_root = os.path.dirname(os.path.dirname(ringgraphs.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
 
-    def limit_address_space():
+    def set_limit():
         import resource
 
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        resource.setrlimit(getattr(resource, rlimit), (limit, limit))
 
     run = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
-        preexec_fn=limit_address_space,
+        preexec_fn=set_limit,
         capture_output=True,
         text=True,
         timeout=600,

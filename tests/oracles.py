@@ -35,7 +35,8 @@ from ringgraphs.maps import (
     WSMap,
     format_map,
 )
-from ringgraphs.numtheory import proper_divisor_sum
+from ringgraphs.graphs import SimpleGraph
+from ringgraphs.numtheory import factorize
 from ringgraphs.spaces import (
     BitVec,
     Mat2,
@@ -180,6 +181,18 @@ def enumerate_states(space: StateSpace) -> Iterator[State]:
 # -- application --------------------------------------------------------------
 
 
+def proper_divisor_sum(x: int) -> int:
+    """Sum of divisors d of x with 1 <= d < x; 0 for x in {0, 1}."""
+    if x < 0:
+        raise ValueError("proper_divisor_sum expects a nonnegative integer")
+    if x <= 1:
+        return 0
+    total = 1
+    for p, e in factorize(x).factors:
+        total *= (p ** (e + 1) - 1) // (p - 1)
+    return total - x
+
+
 def ca_step(rule: int, bits: tuple[int, ...]) -> tuple[int, ...]:
     """One synchronous update of an elementary CA with periodic boundary."""
     w = len(bits)
@@ -309,6 +322,11 @@ def apply(expr: MapExpr, state: State) -> State | None:
 
 
 # -- components ---------------------------------------------------------------
+
+
+def neighbor_array(g: SimpleGraph, v: int):
+    """The sorted neighbours of v, read off the CSR arrays."""
+    return g.indices[g.indptr[v] : g.indptr[v + 1]]
 
 
 class UnionFind:

@@ -13,7 +13,7 @@ from ringgraphs import metrics, numtheory as nt, survey, verify
 from ringgraphs.graphs import build_graph
 from ringgraphs.maps import MapFamily, PowerPlus, family_from_texts, preset
 from ringgraphs.metrics import full_report
-from ringgraphs.spaces import Zn, ZnNonzero
+from ringgraphs.spaces import UpperTri2, Zn, ZnNonzero
 
 from conftest import brute_triangles
 from oracles import UnionFind
@@ -144,7 +144,8 @@ def test_10_artin_census():
 
 
 def test_11_matrix_rings():
-    ut_comps = verify.upper_triangular_component_count(5)
+    ut2_squares = MapFamily((PowerPlus(2, 0),), UpperTri2(5))
+    ut_comps = metrics.components(build_graph(ut2_squares))[0]
     ut_ok = ut_comps >= 2
     verdict = verify.verify_matrix_example()
     ok = ut_ok and verdict.passed

@@ -369,6 +369,20 @@ def test_cli_error_is_nonzero(capsys):
     assert run(["stats", "--space", "bits:2", "--maps", "ca:30"]) == 1
 
 
+@pytest.mark.parametrize(
+    "space,maps,message",
+    [
+        ("bits:4", "2x", "'2x' not applicable to bits:4"),
+        ("ut2:3", "matquad:1,1,1,1", "matrix constant must be upper triangular here"),
+    ],
+)
+def test_gen_rejects_a_map_its_space_does_not_take(tmp_path, capsys, space, maps, message):
+    out = tmp_path / "g.edges"
+    assert run(["gen", "--space", space, "--maps", maps, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_locus_without_maps_is_an_error(capsys):
     assert run(["scan", "locus", "--nmax", "10"]) == 1
     assert capsys.readouterr().err == "error: locus scans need --maps\n"

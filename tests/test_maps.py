@@ -28,7 +28,7 @@ from ringgraphs.maps import (
 )
 from ringgraphs.spaces import BitVec, Mat2, PolyQuot, UpperTri2, Zn, ZnNonzero
 
-from conftest import run_under_address_limit
+from conftest import run_under_rlimit
 from oracles import State, apply, ca_step, enumerate_states, index_of, state_at
 
 
@@ -72,6 +72,56 @@ def test_parse_errors_carry_positions():
         parse_map("ca:300")
     with pytest.raises(MapParseError):
         parse_map("x^2+1 garbage")
+
+
+@pytest.mark.parametrize(
+    "text,canonical",
+    [
+        (" 3 x + 1 ", "3x+1"),
+        ("x", "x"),
+        ("x-1", "x-1"),
+        ("succ", "x+1"),
+        ("x^3-5", "x^3-5"),
+        ("2^x", "2^x"),
+        ("sigma", "sigma"),
+        ("deriv", "deriv"),
+        ("square", "square"),
+        ("addc:1,0,2", "addc:1,0,2"),
+        ("ca:110", "ca:110"),
+        ("perm:18446744073709551615", "perm:18446744073709551615"),
+        ("ws:1e-3:2", "ws:0.001:2"),
+        ("ws:2:0", "ws:2.0:0"),
+        ("matquad:1,2,2,4", "matquad:1,2,2,4"),
+    ],
+)
+def test_canonical_text_of_every_map_kind(text, canonical):
+    assert format_map(parse_map(text)) == canonical
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    [
+        ("3x+", 3),
+        ("", 0),
+        ("frobnicate", 0),
+        ("ca:300", 3),
+        ("x^2+1 garbage", 6),
+        ("addc:", 5),
+        ("ca:", 3),
+        ("perm:", 5),
+        ("ws:0.5", 6),
+        ("ws:0.5:", 7),
+    ],
+)
+def test_parse_error_positions(text, pos):
+    with pytest.raises(MapParseError) as err:
+        parse_map(text)
+    assert err.value.pos == pos
+
+
+def test_matquad_needs_four_entries():
+    with pytest.raises(MapParseError):
+        parse_map("matquad:1,2")
 
 
 def test_parse_maps_with_argument_commas():
@@ -459,7 +509,7 @@ def test_image_table_at_the_cap_fits_in_two_gib(space_text, map_text, limit):
         "assert table.shape == (space.size,)\n"
         f"print(json.dumps(table[{indices!r}].tolist()))\n"
     )
-    got = json.loads(run_under_address_limit(code, limit))
+    got = json.loads(run_under_rlimit(code, "RLIMIT_AS", limit))
     assert_matches_oracle(dict(zip(indices, got)), expr, space, indices)
 
 

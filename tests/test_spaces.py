@@ -17,6 +17,7 @@ from ringgraphs.spaces import (
     parse_space,
 )
 
+from conftest import run_under_rlimit
 from oracles import (
     State,
     enumerate_states,
@@ -86,6 +87,20 @@ def test_cap_message_for_unprintable_counts(spec):
     with pytest.raises(ValueError) as exc:
         parse_space(spec)
     assert str(exc.value) == f"space {spec} has at least 2^1000000 states, {CAP}"
+
+
+def test_far_off_digit_space_is_rejected_before_its_count_is_built():
+    # 1000000^1000000 has about 19.9 million bits, which take seconds to
+    # build; the cap check rejects it from the bound 2^(1000000 * 19) first
+    code = (
+        "from ringgraphs.spaces import parse_space\n"
+        "try:\n"
+        "    parse_space('poly:1000000:1000000')\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    got = run_under_rlimit(code, "RLIMIT_CPU", 3)
+    assert got == f"space poly:1000000:1000000 has at least 2^19000000 states, {CAP}\n"
 
 
 def test_index_examples():

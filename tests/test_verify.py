@@ -3,7 +3,7 @@ import pytest
 from ringgraphs import metrics, verify
 from ringgraphs.graphs import build_graph
 from ringgraphs.maps import Affine, MapFamily, PowerPlus, preset
-from ringgraphs.spaces import Zn, ZnNonzero
+from ringgraphs.spaces import UpperTri2, Zn, ZnNonzero
 from ringgraphs.survey import connectivity_locus
 from ringgraphs.verify import Verdict
 
@@ -107,7 +107,8 @@ def test_matrix_example_structure():
     # must report the counterexample honestly (see the acceptance suite)
     v = verify.verify_matrix_example()
     assert v.passed == (not v.disagreements)
-    assert verify.upper_triangular_component_count(5) >= 2
+    ut2_squares = MapFamily((PowerPlus(2, 0),), UpperTri2(5))
+    assert metrics.components(build_graph(ut2_squares))[0] >= 2
     from ringgraphs.maps import MatQuad
     from ringgraphs.spaces import Mat2
 
