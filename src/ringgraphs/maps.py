@@ -5,17 +5,20 @@ A table gives the image index of every state, or -1 when the raw image
 falls outside a restricted residue space (no edge is produced in that
 case).  The grammar, one expression per comma-separated item:
 
-    affine    := [INT] "x" (("+"|"-") INT)?      2x, 3x+1, x, x-1
-    power     := "x^" INT (("+"|"-") INT)?       x^2, x^2+1, x^3
-    exp       := INT "^x"                        2^x
+    affine    := [INT] "x" (("+"|"-") NAT)?      2x, -3x+1, x, x-1
+    power     := "x^" NAT (("+"|"-") NAT)?       x^2, x^2+1, x^3
+    exp       := INT "^x"                        2^x, -3^x (base -3)
     named     := WORD (":" FIELD)*, the fields of the kind in order, a tuple
-                 as a comma list (a comma then a digit continues it):
+                 as a comma list (a comma then an INT continues it):
                  sigma | succ | deriv | square     (succ is x+1)
                  addc:C0,C1,...      constant polynomial, low degree first
                  ca:RULE             cellular automaton rule 0..255
                  perm:SEED           seeded permutation of the index set
                  ws:EPS:SHIFT        floor(x^(1+eps)) + shift
                  matquad:A,B,C,D     x^2 + A, row-major entries of A
+
+NAT is a run of digits and INT a NAT with an optional leading "-"; every
+integer field reads an INT.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ class Affine(MapExpr):
 class PowerPlus(MapExpr):
     e: int
     c: int
+
+    def __post_init__(self):
+        if self.e < 0:
+            raise ValueError("exponent must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,7 @@ class _Scanner:
         if not self.take(ch):
             raise MapParseError(f"expected {ch!r}", self.text, self.pos)
 
-    def int_(self) -> int:
+    def nat(self) -> int:
         self._skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -163,6 +170,14 @@ class _Scanner:
         if self.pos == start:
             raise MapParseError("expected an integer", self.text, self.pos)
         return int(self.text[start : self.pos])
+
+    def int_(self) -> int:
+        return -self.nat() if self.take("-") else self.nat()
+
+    def at_int(self) -> bool:
+        """True if an integer, maybe negative, comes next."""
+        ch = self.peek()
+        return ch.isdigit() or ch == "-"
 
     _REAL = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
@@ -189,9 +204,9 @@ class _Scanner:
 
 def _signed_tail(s: _Scanner) -> int:
     if s.take("+"):
-        return s.int_()
+        return s.nat()
     if s.take("-"):
-        return -s.int_()
+        return -s.nat()
     return 0
 
 
@@ -208,18 +223,17 @@ def _field(s: _Scanner, annotation: str):
     if annotation == "int":
         return s.int_()
     values = [s.int_()]
-    # a tuple is greedy, but a comma followed by a non-digit starts the next item
+    # a tuple is greedy, but a comma followed by no integer starts the next item
     while True:
         save = s.pos
-        if not (s.take(",") and s.peek().isdigit()):
+        if not (s.take(",") and s.at_int()):
             s.pos = save
             return tuple(values)
         values.append(s.int_())
 
 
 def _parse_one(s: _Scanner) -> MapExpr:
-    ch = s.peek()
-    if ch.isdigit():
+    if s.at_int():
         n = s.int_()
         if s.take("^"):
             s.expect("x")
@@ -227,23 +241,22 @@ def _parse_one(s: _Scanner) -> MapExpr:
         s.expect("x")
         return Affine(n, _signed_tail(s))
     word = s.word()
-    if word == "x":
-        if s.take("^"):
-            e = s.int_()
-            return PowerPlus(e, _signed_tail(s))
+    if word == "x" and s.take("^"):
+        cls, starts, values = PowerPlus, [s.pos], [s.int_(), _signed_tail(s)]
+    elif word == "x":
         return Affine(1, _signed_tail(s))
-    if word == "succ":
+    elif word == "succ":
         return Affine(1, 1)
-    if word not in _NAMED:
-        if word:
-            raise MapParseError(f"unknown map name {word!r}", s.text, s.pos - len(word))
+    elif word in _NAMED:
+        cls, starts, values = _NAMED[word], [], []
+        for f in fields(cls):
+            s.expect(":")
+            starts.append(s.pos)
+            values.append(_field(s, f.type))
+    elif word:
+        raise MapParseError(f"unknown map name {word!r}", s.text, s.pos - len(word))
+    else:
         raise MapParseError("expected a map expression", s.text, s.pos)
-    cls = _NAMED[word]
-    starts, values = [], []
-    for f in fields(cls):
-        s.expect(":")
-        starts.append(s.pos)
-        values.append(_field(s, f.type))
     try:
         return cls(*values)
     except ValueError as exc:

@@ -1,39 +1,36 @@
 """Integer predicates and sequences: primality, factorization, divisor sums,
 primitive roots, Fermat/Pierpont-style primes, smooth and double-smooth sets.
 
-A smallest-prime-factor sieve up to 2^20 is built lazily once and then read
-only; everything else is a pure function.
+One smallest-prime-factor sieve below 2^20 is built on first use and cached.
+Above it, primality is Miller-Rabin on thirteen bases, exact below psi_13 =
+3,317,044,064,679,887,385,961,981, and factorization is one walk that strips
+the sieve primes from a composite, or splits it at a rho factor.  The rest
+are pure functions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, isqrt, log
 
 import numpy as np
 
 SIEVE_LIMIT = 1 << 20
 
-_spf: np.ndarray | None = None
-_sieve_primes: np.ndarray | None = None
 
-
-def _sieve() -> np.ndarray:
-    global _spf, _sieve_primes
-    if _spf is None:
-        spf = np.zeros(SIEVE_LIMIT, dtype=np.int32)
-        for p in range(2, isqrt(SIEVE_LIMIT - 1) + 1):
-            if spf[p] == 0:
-                block = spf[p * p :: p]
-                block[block == 0] = p
-        spf[0] = spf[1] = -1
-        mask = spf == 0
-        mask[0] = mask[1] = False
-        _sieve_primes = np.nonzero(mask)[0].astype(np.int64)
-        _spf = spf
-    return _spf
+@cache
+def _sieve() -> tuple[np.ndarray, np.ndarray]:
+    """Smallest prime factors below SIEVE_LIMIT (0 for n < 2), and the primes."""
+    spf = np.zeros(SIEVE_LIMIT, dtype=np.int32)
+    for p in range(2, isqrt(SIEVE_LIMIT - 1) + 1):
+        if spf[p] == 0:
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    primes = np.flatnonzero(spf == 0)[2:]
+    spf[primes] = primes
+    return spf, primes
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -50,30 +47,24 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 def first_primes(k: int) -> np.ndarray:
     """The first k primes."""
-    if k < 1:
-        return np.empty(0, dtype=np.int64)
-    if k < 6:
-        return np.array([2, 3, 5, 7, 11][:k], dtype=np.int64)
-    # p_k < k (ln k + ln ln k) for k >= 6
-    bound = int(k * (log(k) + log(log(k)))) + 10
-    ps = primes_up_to(bound)
-    while len(ps) < k:
-        bound *= 2
-        ps = primes_up_to(bound)
-    return ps[:k]
+    # Rosser: p_k < k (ln k + ln ln k) for k >= 6, and p_5 = 11
+    bound = int(k * (log(k) + log(log(k)))) if k >= 6 else 11
+    return primes_up_to(bound)[: max(k, 0)]
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes: as Miller-Rabin bases they are exact below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def _miller_rabin(n: int) -> bool:
-    # deterministic for n < 3.3e24 with this witness set
+    # n odd and past every witness
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
     for a in _MR_WITNESSES:
-        if a % n == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -87,20 +78,21 @@ def _miller_rabin(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; n=1 is not prime."""
+    """Primality of n >= 1 (1 is not prime), exact below psi_13.  At or above
+    psi_13, a number that passes every Miller-Rabin base raises ValueError."""
     if n < 1:
         raise ValueError("is_prime expects a positive integer")
     if n < SIEVE_LIMIT:
-        return bool(_sieve()[n] == 0) and n >= 2
-    if n % 2 == 0:
+        return bool(_sieve()[0][n] == n)
+    if n % 2 == 0 or not _miller_rabin(n):
         return False
-    return _miller_rabin(n)
+    if n >= _PSI_13:
+        raise ValueError(f"{n} passes Miller-Rabin, which is exact only below {_PSI_13}")
+    return True
 
 
 def _rho_split(n: int) -> int:
     # Brent's cycle variant; n odd composite, no factor below the sieve
-    if n % 2 == 0:
-        return 2
     for c in range(1, 64):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -139,53 +131,38 @@ class PrimeFactorization:
 
 
 def factorize(n: int) -> PrimeFactorization:
-    """Full prime factorization; sieve walk below 2^20, trial division and a
-    rho fallback above."""
+    """Full prime factorization by a stack of cofactors: below 2^20 a walk
+    down the sieve; above it a prime counts once, and a composite loses
+    every sieve prime that divides it, or with none splits at a rho factor.
+    A cofactor that is_prime cannot decide raises its ValueError."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    orig = n
+    spf, primes = _sieve()
     counts: dict[int, int] = {}
-
-    def add(p: int, e: int = 1) -> None:
-        counts[p] = counts.get(p, 0) + e
-
-    spf = _sieve()
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if m < SIEVE_LIMIT:
             while m > 1:
                 p = int(spf[m])
-                if p <= 0:
-                    p = m
-                while m % p == 0:
-                    m //= p
-                    add(p)
-            continue
-        divided = False
-        for p in _sieve_primes:
-            p = int(p)
-            if p * p > m:
-                break
-            if m % p == 0:
-                while m % p == 0:
-                    m //= p
-                    add(p)
-                divided = True
-        if m == 1:
-            continue
-        if divided:
-            stack.append(m)
-        elif m < SIEVE_LIMIT * SIEVE_LIMIT or _miller_rabin(m):
-            # no factor below 2^20, so below 2^40 it must be prime
-            add(m)
+                counts[p] = counts.get(p, 0) + 1
+                m //= p
+        elif is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
         else:
-            d = _rho_split(m)
-            stack.append(d)
-            stack.append(m // d)
-    return PrimeFactorization(orig, tuple(sorted(counts.items())))
+            # a composite has a factor <= sqrt(m); int64 holds m below 2^63
+            ps = primes[: np.searchsorted(primes, min(isqrt(m), SIEVE_LIMIT), side="right")]
+            hits = ps[m % (ps if m < 1 << 63 else ps.astype(object)) == 0].tolist()
+            for p in hits:
+                while m % p == 0:
+                    m //= p
+                    counts[p] = counts.get(p, 0) + 1
+            if hits:
+                stack.append(m)
+            else:
+                d = _rho_split(m)
+                stack += [d, m // d]
+    return PrimeFactorization(n, tuple(sorted(counts.items())))
 
 
 @lru_cache(maxsize=4096)
@@ -219,18 +196,15 @@ def proper_divisor_sums(start: int, stop: int) -> np.ndarray:
 
 
 def is_primitive_root(a: int, p: int) -> bool:
-    """True iff a generates the multiplicative group mod prime p.
-
-    Uses order-divisibility checks against the prime factors of p-1 instead
-    of computing the full order.
-    """
+    """True iff a generates the multiplicative group mod prime p: a^((p-1)/q)
+    is not 1 for any prime q dividing p-1, so the full order is not needed."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     a %= p
     if a == 0:
         raise ValueError("a must be nonzero mod p")
     m = p - 1
-    for q in _distinct_prime_factors(m) if m > 1 else ():
+    for q in _distinct_prime_factors(m):
         if pow(a, m // q, p) == 1:
             return False
     return True
@@ -253,10 +227,7 @@ def is_smooth(n: int, primes: frozenset[int] | set[int]) -> bool:
     """True iff every prime factor of n lies in the given set (1 is smooth)."""
     if n < 1:
         raise ValueError("is_smooth expects a positive integer")
-    for p in _distinct_prime_factors(n):
-        if p not in primes:
-            return False
-    return True
+    return all(p in primes for p in _distinct_prime_factors(n))
 
 
 def is_one_plus_smooth_prime(n: int, primes: frozenset[int] | set[int]) -> bool:
@@ -303,8 +274,5 @@ def smooth_set(primes: set[int] | frozenset[int], limit: int) -> SmoothSet:
 def double_smooth_set(primes: set[int] | frozenset[int], limit: int) -> SmoothSet:
     """The smooth members and their doubles, truncated at limit."""
     base = smooth_set(primes, limit)
-    out = set(base.members)
-    for v in base.members:
-        if 2 * v <= limit:
-            out.add(2 * v)
+    out = set(base.members) | {2 * v for v in base.members if 2 * v <= limit}
     return SmoothSet(base.base_primes, limit, tuple(sorted(out)))

@@ -121,6 +121,15 @@ class ZnFromTwo(ResidueSpace):
 class ZnUnits(ResidueSpace):
     kind = "units"
 
+    def __post_init__(self):
+        # phi(n) >= sqrt(n/2), so past n = 2^51 the space is over the cap
+        # whatever the factors of n, which rho might take minutes to find
+        if self.n > 2 * SIZE_CAP**2:
+            bits = (self.n.bit_length() - 2) // 2  # 2^bits <= sqrt(n/2)
+            count = f"at least 2^{bits}"
+            raise ValueError(f"space {self.spec()} has {count} states, above the cap {SIZE_CAP}")
+        super().__post_init__()
+
     @property
     def size(self) -> int:
         return euler_phi(self.n)

@@ -92,6 +92,14 @@ def test_parse_errors_carry_positions():
         ("ws:1e-3:2", "ws:0.001:2"),
         ("ws:2:0", "ws:2.0:0"),
         ("matquad:1,2,2,4", "matquad:1,2,2,4"),
+        # a leading "-" on every integer field, base and tuple entry
+        ("-2x+3", "-2x+3"),
+        (" - 2 x - 3", "-2x-3"),
+        ("-3^x", "-3^x"),
+        ("perm:-1", "perm:-1"),
+        ("ws:0.5:-3", "ws:0.5:-3"),
+        ("addc:1,-2", "addc:1,-2"),
+        ("matquad:-1,2,-3,-4", "matquad:-1,2,-3,-4"),
     ],
 )
 def test_canonical_text_of_every_map_kind(text, canonical):
@@ -111,6 +119,8 @@ def test_canonical_text_of_every_map_kind(text, canonical):
         ("perm:", 5),
         ("ws:0.5", 6),
         ("ws:0.5:", 7),
+        ("x--3", 2),
+        ("perm:-", 6),
     ],
 )
 def test_parse_error_positions(text, pos):
@@ -156,6 +166,35 @@ _EXPRS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_format_parse_roundtrip(expr):
     assert parse_map(format_map(expr)) == expr
+
+
+_INTS = st.integers(-(2**70), 2**70)
+_NEGATIVE_EXPRS = st.one_of(
+    st.builds(Affine, _INTS, _INTS),
+    st.builds(PowerPlus, st.integers(0, 2**70), _INTS),
+    st.builds(Exp, _INTS),
+    st.builds(PolyAddConst, st.lists(_INTS, min_size=1, max_size=6).map(tuple)),
+    st.builds(Perm, _INTS),
+    st.builds(WSMap, st.floats(0, 4, allow_nan=False), _INTS),
+    st.builds(MatQuad, st.tuples(_INTS, _INTS, _INTS, _INTS)),
+)
+
+
+@given(_NEGATIVE_EXPRS)
+@settings(max_examples=300, deadline=None)
+def test_format_parse_roundtrip_with_negative_fields(expr):
+    # every integer field of every kind that has one, negative values
+    # included (a CA rule is 0..255 and an exponent >= 0)
+    assert parse_map(format_map(expr)) == expr
+    assert parse_maps(f"{format_map(expr)},{format_map(expr)}") == (expr, expr)
+
+
+def test_negative_exponent_is_rejected():
+    # square-and-multiply would shift a negative exponent forever
+    with pytest.raises(ValueError, match="exponent must be >= 0"):
+        PowerPlus(-2, 0)
+    with pytest.raises(MapParseError, match="exponent must be >= 0 at position 2"):
+        parse_map("x^-2")
 
 
 # -- application ------------------------------------------------------------

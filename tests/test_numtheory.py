@@ -51,6 +51,48 @@ def test_factorize_beyond_sieve():
     assert nt.is_prime(1_048_583)
 
 
+# the least strong pseudoprimes to the first twelve and thirteen prime bases
+# (Sorenson and Webster 2017); Miller-Rabin on 2..41 is exact below PSI_13
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_is_prime_exact_below_psi13():
+    assert not nt.is_prime(PSI_12)
+    assert nt.factorize(PSI_12).factors == ((399_165_290_221, 1), (798_330_580_441, 1))
+    assert nt.is_prime(399_165_290_221) and nt.is_prime(798_330_580_441)
+    # at psi_13 and above: a number that passes every base is not decided,
+    # but a composite that a base exposes is still False
+    for n in (PSI_13, 2**89 - 1):
+        with pytest.raises(ValueError, match="exact only below"):
+            nt.is_prime(n)
+    assert not nt.is_prime(PSI_13 + 2)
+    assert not nt.is_prime(2**89 + 1)
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (2**20 - 1, ((3, 1), (5, 2), (11, 1), (31, 1), (41, 1))),
+        (2**20, ((2, 20),)),
+        (2**20 + 1, ((17, 1), (61681, 1))),
+        (2**40 - 1, ((3, 1), (5, 2), (11, 1), (17, 1), (31, 1), (41, 1), (61681, 1))),
+        (2**40 + 1, ((257, 1), (4_278_255_361, 1))),
+        (1_048_583 * 1_048_589, ((1_048_583, 1), (1_048_589, 1))),
+        (2**64 + 1, ((274_177, 1), (67_280_421_310_721, 1))),
+        (2**200, ((2, 200),)),
+        (6**50, ((2, 50), (3, 50))),
+    ],
+)
+def test_factorize_at_the_sieve_edges(n, factors):
+    # both sides of the sieve bound 2^20 and of its square, a product of two
+    # primes just above the sieve, and numbers past int64, two of them high
+    # powers of sieve primes
+    assert nt.factorize(n).factors == factors
+    assert math.prod(p**e for p, e in factors) == n
+    assert all(nt.is_prime(p) for p, _ in factors)
+
+
 @pytest.mark.slow
 def test_prime_and_factorization_agree_full_sweep():
     # single factor with exponent 1 <=> prime, for every n up to 10^6
@@ -197,9 +239,19 @@ def test_first_primes():
     assert int(nt.first_primes(10**4)[-1]) == 104_729
 
 
+def test_first_primes_against_the_plain_sieve():
+    # every k to p_2000 = 17389, across the switch from p_5 = 11 to the
+    # Rosser bound at k = 6
+    primes = nt.primes_up_to(17_389)
+    assert len(primes) == 2000
+    for k in range(2001):
+        assert nt.first_primes(k).tolist() == primes[:k].tolist(), k
+    assert len(nt.first_primes(-1)) == 0
+
+
 @pytest.mark.skipif(
     not os.environ.get("RINGGRAPHS_EXTENDED"),
-    reason="multi-minute extended census; set RINGGRAPHS_EXTENDED=1",
+    reason="extended census of about a minute; set RINGGRAPHS_EXTENDED=1",
 )
 def test_artin_census_first_million_primes():
     from ringgraphs.survey import artin_census

@@ -103,6 +103,38 @@ def test_far_off_digit_space_is_rejected_before_its_count_is_built():
     assert got == f"space poly:1000000:1000000 has at least 2^19000000 states, {CAP}\n"
 
 
+def test_units_space_past_2_51_is_rejected_before_n_is_factored():
+    # phi(n) >= sqrt(n/2) puts units:N over the cap for N > 2^51; the first
+    # N is a strong pseudoprime to the bases 2..37, and the second the
+    # product of two primes just above 2^80 and 2^81, which rho would take
+    # minutes to split, so the child runs under a CPU-time limit
+    code = (
+        "from ringgraphs.spaces import parse_space\n"
+        "for n in (318665857834031151167461,\n"
+        "          2923003274661805836407421649242809468366377451741):\n"
+        "    try:\n"
+        "        parse_space(f'units:{n}')\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    got = run_under_rlimit(code, "RLIMIT_CPU", 3)
+    assert got == (
+        f"space units:318665857834031151167461 has at least 2^38 states, {CAP}\n"
+        "space units:2923003274661805836407421649242809468366377451741 has at least"
+        f" 2^80 states, {CAP}\n"
+    )
+
+
+def test_units_cap_at_2_51():
+    # the last N the bound does not decide is factored, and its phi is given
+    with pytest.raises(ValueError) as exc:
+        ZnUnits(2**51)
+    assert str(exc.value) == f"space units:{2**51} has {2**50} states, {CAP}"
+    with pytest.raises(ValueError) as exc:
+        ZnUnits(2**51 + 1)
+    assert str(exc.value) == f"space units:{2**51 + 1} has at least 2^25 states, {CAP}"
+
+
 def test_index_examples():
     assert index_of(Zn(7), State(Zn(7), 3)) == 3
     assert state_at(Zn(7), 3).payload == 3

@@ -80,6 +80,15 @@ def test_power_pair_examples():
     assert not connected(build_graph(fam))
 
 
+def test_power_pair_with_a_strong_pseudoprime_exponent():
+    # 318665857834031151167461 passes Miller-Rabin on the twelve prime bases
+    # 2..37 but is 399165290221 * 798330580441; base 41 exposes it
+    v = verify.verify_power_pair(318665857834031151167461, 5, 30)
+    assert v.tested_range == (
+        "x^318665857834031151167461,x^5,P={5,399165290221,798330580441},2..30"
+    )
+
+
 def test_affine_table_small():
     v = verify.verify_affine_table(100)
     assert v.passed
