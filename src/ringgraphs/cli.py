@@ -57,8 +57,8 @@ class RunConfig:
                 argv.append(value)
             elif key in _FLAG_KEYS:
                 argv.append(f"--{key}")
-            else:
-                argv += [f"--{key}", value]
+            else:  # one token, so a value starting with '-' is not read as an option
+                argv.append(f"--{key}={value}")
         return argv
 
     @classmethod

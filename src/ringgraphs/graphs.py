@@ -10,6 +10,7 @@ is also what the sweep kernel metrics.component_counts starts from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -103,6 +104,18 @@ def build_graph(family: MapFamily) -> SimpleGraph:
 _EXPORT_CHUNK = 1 << 16
 
 
+@cache
+def _digit_groups() -> np.ndarray:
+    """Read-only uint32 table whose entry i holds the four ASCII bytes of
+    f"{i:04d}".  It is built from bytes and only ever viewed back as bytes,
+    so the text does not depend on the byte order; built on first use, so
+    that importing the package does not pay for it."""
+    digits = np.arange(10**4)[:, None] // (1000, 100, 10, 1) % 10 + ord("0")
+    groups = digits.astype(np.uint8).view(np.uint32).ravel()
+    groups.flags.writeable = False
+    return groups
+
+
 def _edge_lines(
     us: np.ndarray, vs: np.ndarray, before: str, between: str, after: str
 ) -> str:
@@ -111,25 +124,33 @@ def _edge_lines(
     Each chunk of edges becomes one (edges, width) uint8 matrix of ASCII
     rows copied from a template line, with u and v written in as
     fixed-width decimal digits whose leading zeros a mask drops when the
-    rows are joined."""
+    rows are joined.  The digits go in four at a time: one % 10**4 and one
+    gather from _digit_groups() per group, then one 1-D column copy per
+    digit."""
     if len(us) == 0:
         return ""
+    table = _digit_groups()
     width = len(str(int(max(us.max(), vs.max()))))
-    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    lead = np.where(powers == 1, 0, powers)  # the units digit is always kept
     pad = "0" * width
     line = f"{before}{pad}{between}{pad}{after}"
     template = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
-    u_cols = slice(len(before), len(before) + width)
-    v_cols = slice(u_cols.stop + len(between), u_cols.stop + len(between) + width)
+    u_stop = len(before) + width
+    v_stop = u_stop + len(between) + width
     out = []
     for start in range(0, len(us), _EXPORT_CHUNK):
         chunk = slice(start, start + _EXPORT_CHUNK)
         rows = np.tile(template, (len(us[chunk]), 1))
         keep = np.ones(rows.shape, dtype=bool)
-        for cols, ends in ((u_cols, us[chunk, None]), (v_cols, vs[chunk, None])):
-            rows[:, cols] = ends // powers % 10 + ord("0")
-            keep[:, cols] = ends >= lead
+        for stop, ends in ((u_stop, us[chunk]), (v_stop, vs[chunk])):
+            rest = ends
+            for k in range(width):  # k-th digit from the right, in column stop-1-k
+                if k % 4 == 0:  # the top group is below 10**4 already
+                    low = rest % 10**4 if k + 4 < width else rest
+                    group = table[low].view(np.uint8).reshape(-1, 4)
+                    rest = rest // 10**4
+                rows[:, stop - 1 - k] = group[:, 3 - k % 4]
+                if k:  # the units digit is always kept
+                    keep[:, stop - 1 - k] = ends >= 10**k
         out.append(rows[keep].tobytes())
     return b"".join(out).decode("ascii")
 

@@ -69,7 +69,7 @@ class StatsReport:
 
 
 def _as_sparse(g: SimpleGraph) -> csr_matrix:
-    data = np.ones(len(g.indices), dtype=np.int8)
+    data = np.ones(len(g.indices))  # float64, which scipy would otherwise copy to cast
     return csr_matrix(
         (data, g.indices, g.indptr), shape=(g.vertex_count, g.vertex_count)
     )

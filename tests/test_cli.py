@@ -160,6 +160,9 @@ def test_run_config_roundtrips_through_output(tmp_path):
         (["gen", "--space", "zn:12", "--maps", "x^2", "--labels"], ".dot"),
         (["gen", "--space", "mat2:2", "--maps", "x^2", "--labels"], ".dot"),
         (["gen", "--space", "zn:12", "--maps", "x^2", "--labels"], ".edges"),
+        # a map list starting with '-' is only read in the --maps= form
+        (["gen", "--space", "zn:7", "--maps=-2x+1"], ".edges"),
+        (["scan", "locus", "--maps=-2x+1", "--space-kind", "zn", "--nmax", "20"], ".out"),
     ]
     for i, (argv, suffix) in enumerate(cases):
         first = tmp_path / f"first{i}{suffix}"

@@ -206,6 +206,22 @@ def test_export_matches_fstring_loops(monkeypatch, chunk):
         assert_export_matches_loops(g)
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_edge_lines_at_digit_group_boundaries(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(graphs, "_EXPORT_CHUNK", chunk)
+    # both sides of every power of ten up to 10**7, then the largest vertex
+    # under the cap: every width from 1 to 8 digits, and both 4-digit groups
+    bounds = [0] + [e for k in range(1, 8) for e in (10**k - 1, 10**k)]
+    bounds.append(spaces.SIZE_CAP - 1)
+    for top in range(1, len(bounds) + 1):
+        ends = np.array(bounds[:top], dtype=np.int32)
+        us, vs = np.repeat(ends, top), np.tile(ends, top)
+        for before, between, after in (("", " ", "\n"), ("  ", " -- ", ";\n")):
+            expected = "".join(f"{before}{u}{between}{v}{after}" for u, v in zip(us, vs))
+            assert graphs._edge_lines(us, vs, before, between, after) == expected
+
+
 @pytest.mark.parametrize(
     "family, escapes",
     [
