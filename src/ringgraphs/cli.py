@@ -81,20 +81,38 @@ class RunConfig:
         return cls(command, fields)
 
 
+# characters of the body written per call by _write, so that the body is
+# never copied or encoded whole
+_WRITE_SLICE = 1 << 20
+
+
 def _write(path: str | None, body: str, config: RunConfig) -> None:
     """Write body with the header of config to path, or to stdout: as #
     lines after the magic number of a PBM, else as comment lines before the
-    body (// for a .dot path)."""
+    body (// for a .dot path).  A closed stdout pipe, as under `| head`,
+    ends the write quietly."""
     if body.startswith("P1\n"):
-        magic, mark, body = "P1\n", "#", body[3:]
+        magic, mark = "P1\n", "#"
     else:
         magic, mark = "", "//" if path is not None and path.endswith(".dot") else "#"
-    text = magic + "".join(f"{mark} {h}\n" for h in config.header_lines()) + body
-    if path is None:
-        sys.stdout.write(text)
+    header = magic + "".join(f"{mark} {h}\n" for h in config.header_lines())
+    starts = range(len(magic), len(body), _WRITE_SLICE)
+    slices = (body[at : at + _WRITE_SLICE] for at in starts)
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header)
+            fh.writelines(slices)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        sys.stdout.write(header)
+        sys.stdout.writelines(slices)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; what is still buffered goes to devnull, so
+        # that the flush at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_gen(args) -> int:

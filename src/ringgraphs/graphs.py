@@ -32,12 +32,16 @@ class SimpleGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical edges (u, v) with u < v, sorted ascending, as two int32
-        arrays; a key u*V+v needs an int64 product."""
-        src = np.repeat(np.arange(self.vertex_count, dtype=np.int32), self.degrees())
-        mask = src < self.indices
-        return src[mask], self.indices[mask]
+    def edge_arrays(self, start=0, stop=None) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical edges (u, v) with u < v of the rows u in [start, stop),
+        all rows by default, sorted ascending, as two int32 arrays; a key
+        u*V+v needs an int64 product."""
+        stop = self.vertex_count if stop is None else stop
+        rows = np.arange(start, stop, dtype=np.int32)
+        src = np.repeat(rows, np.diff(self.indptr[start : stop + 1]))
+        dst = self.indices[self.indptr[start] : self.indptr[stop]]
+        mask = src < dst
+        return src[mask], dst[mask]
 
 
 def graph_from_edges(vertex_count: int, us, vs) -> SimpleGraph:
@@ -100,7 +104,8 @@ def build_graph(family: MapFamily) -> SimpleGraph:
     return _simple_graph(csr_matrix((moves.ravel(), table.ravel(), indptr), shape=shape))
 
 
-# edges per ASCII matrix in _edge_lines; bounds its memory at a few MB
+# CSR entries per export block, and edges per ASCII matrix in _edge_lines;
+# bounds the memory of each at a few MB
 _EXPORT_CHUNK = 1 << 16
 
 
@@ -155,19 +160,36 @@ def _edge_lines(
     return b"".join(out).decode("ascii")
 
 
+def _edge_blocks(g: SimpleGraph, before: str, between: str, after: str):
+    """The _edge_lines text of g's canonical edges, one str per block of
+    consecutive CSR rows holding at most _EXPORT_CHUNK entries (a longer
+    row alone), so no whole-graph endpoint array is built."""
+    indptr = g.indptr
+    entries = int(indptr[-1])
+    start = 0
+    while start < g.vertex_count:
+        # the end in indptr's own dtype: searchsorted would cast the whole
+        # of indptr to a wider one
+        end = indptr.dtype.type(min(int(indptr[start]) + _EXPORT_CHUNK, entries))
+        stop = max(int(np.searchsorted(indptr, end, "right")) - 1, start + 1)
+        yield _edge_lines(*g.edge_arrays(start, stop), before, between, after)
+        start = stop
+
+
 def export_edge_list(g: SimpleGraph) -> str:
     """One line per edge "u v" with u < v, ascending; deterministic."""
-    return _edge_lines(*g.edge_arrays(), "", " ", "\n")
+    return "".join(_edge_blocks(g, "", " ", "\n"))
 
 
 def export_dot(g: SimpleGraph, labels: list[str] | None = None) -> str:
     """Undirected DOT document with edges in canonical order."""
-    lines = ["graph G {"]
+    parts = ["graph G {\n"]
     if labels is not None:
         if len(labels) != g.vertex_count:
             raise ValueError("need one label per vertex")
         for v, text in enumerate(labels):
             escaped = str(text).replace('"', '\\"')
-            lines.append(f'  {v} [label="{escaped}"];')
-    edges = _edge_lines(*g.edge_arrays(), "  ", " -- ", ";\n")
-    return "\n".join(lines) + "\n" + edges + "}\n"
+            parts.append(f'  {v} [label="{escaped}"];\n')
+    parts += _edge_blocks(g, "  ", " -- ", ";\n")
+    parts.append("}\n")
+    return "".join(parts)

@@ -174,14 +174,19 @@ def bfs_distances(g: SimpleGraph, source: int) -> dict[int, int]:
     return dist
 
 
-def run_under_rlimit(code: str, rlimit: str, limit: int) -> str:
-    """Stdout of `python -c code` in a child whose `resource` limit named
-    `rlimit` (RLIMIT_AS in bytes, RLIMIT_CPU in seconds) is `limit`, set in
-    the child only, with one BLAS thread so that thread stacks do not count
-    against an address-space limit."""
+def child_env() -> dict[str, str]:
+    """Environment for a child Python that imports this ringgraphs, with
+    one BLAS thread so that thread stacks do not count against an
+    address-space limit."""
     package_root = os.path.dirname(os.path.dirname(ringgraphs.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+
+
+def run_under_rlimit(code: str, rlimit: str, limit: int) -> str:
+    """Stdout of `python -c code` in a child (see child_env) whose `resource`
+    limit named `rlimit` (RLIMIT_AS in bytes, RLIMIT_CPU in seconds) is
+    `limit`, set in the child only."""
 
     def set_limit():
         import resource
@@ -190,7 +195,7 @@ def run_under_rlimit(code: str, rlimit: str, limit: int) -> str:
 
     run = subprocess.run(
         [sys.executable, "-c", code],
-        env=env,
+        env=child_env(),
         preexec_fn=set_limit,
         capture_output=True,
         text=True,

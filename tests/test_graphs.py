@@ -198,12 +198,50 @@ def assert_export_matches_loops(g):
     assert export_dot(g, labels) == loop_dot(g, labels)
 
 
+def block_cut_cases(chunk):
+    """Graphs whose CSR rows cut into export blocks of chunk entries at the
+    edge cases: empty rows, a row longer than a block, a last row alone."""
+    big = chunk + 2
+    # empty rows first, between and last
+    yield graph_from_edges(12, [2, 2, 5, 6], [3, 5, 6, 7])
+    # the first row is longer than a block, and the rows after it are empty
+    yield graph_from_edges(big + 4, [0] * big, range(1, big + 1))
+    # a path, then the last row, longer than a block, joined to all of it
+    path = list(range(big - 1))
+    yield graph_from_edges(big + 1, path + list(range(big)), [v + 1 for v in path] + [big] * big)
+    # the row before the last is longer than a block and holds the last edge
+    yield graph_from_edges(big + 2, [big] * (big + 1), list(range(big)) + [big + 1])
+
+
+def greedy_block_count(indptr, chunk):
+    """Blocks of consecutive rows of at most chunk entries each, a longer
+    row alone, taken greedily from the first row."""
+    rows, blocks, start = len(indptr) - 1, 0, 0
+    while start < rows:
+        stop = start + 1
+        while stop < rows and indptr[stop + 1] - indptr[start] <= chunk:
+            stop += 1
+        blocks, start = blocks + 1, stop
+    return blocks
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 3])
 def test_export_matches_fstring_loops(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(graphs, "_EXPORT_CHUNK", chunk)
-    for g in export_cases():
+    chunk = graphs._EXPORT_CHUNK
+    edge_lines, calls = graphs._edge_lines, []
+
+    def spy(*args):
+        calls.append(args)
+        return edge_lines(*args)
+
+    monkeypatch.setattr(graphs, "_edge_lines", spy)
+    for g in [*export_cases(), *block_cut_cases(chunk)]:
+        calls.clear()
         assert_export_matches_loops(g)
+        # each of the three exports cuts the rows into the same blocks
+        assert len(calls) == 3 * greedy_block_count(g.indptr, chunk)
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3])
@@ -266,3 +304,17 @@ def test_vertex_count_above_cap_rejected_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # an indptr for 2^25 vertices would be 128 MB
+
+
+def test_export_holds_its_text_at_most_twice():
+    # the block texts and their join, with no whole-graph array beside them
+    g = build_graph(MapFamily((Affine(2, 0), Affine(3, 1)), Zn(1 << 18)))
+    graphs._digit_groups()  # built once, on first use
+    for export in (export_edge_list, export_dot):
+        tracemalloc.start()
+        try:
+            text = export(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(text) + (4 << 20), export.__name__
