@@ -104,7 +104,8 @@ def build_graph(family: MapFamily) -> SimpleGraph:
     return _simple_graph(csr_matrix((moves.ravel(), table.ravel(), indptr), shape=shape))
 
 
-# CSR entries per export block, and edges per ASCII matrix in _edge_lines;
+# CSR entries per row block of the export and of the triangle kernel, edges
+# per ASCII matrix in _edge_lines and labels per joined text of export_dot;
 # bounds the memory of each at a few MB
 _EXPORT_CHUNK = 1 << 16
 
@@ -160,20 +161,25 @@ def _edge_lines(
     return b"".join(out).decode("ascii")
 
 
-def _edge_blocks(g: SimpleGraph, before: str, between: str, after: str):
-    """The _edge_lines text of g's canonical edges, one str per block of
-    consecutive CSR rows holding at most _EXPORT_CHUNK entries (a longer
-    row alone), so no whole-graph endpoint array is built."""
-    indptr = g.indptr
+def row_blocks(indptr: np.ndarray):
+    """(start, stop) of each block of consecutive CSR rows holding at most
+    _EXPORT_CHUNK entries (a longer row alone), in order from the first row,
+    so that a pass over the blocks builds no whole-graph array."""
     entries = int(indptr[-1])
     start = 0
-    while start < g.vertex_count:
+    while start < len(indptr) - 1:
         # the end in indptr's own dtype: searchsorted would cast the whole
         # of indptr to a wider one
         end = indptr.dtype.type(min(int(indptr[start]) + _EXPORT_CHUNK, entries))
         stop = max(int(np.searchsorted(indptr, end, "right")) - 1, start + 1)
-        yield _edge_lines(*g.edge_arrays(start, stop), before, between, after)
+        yield start, stop
         start = stop
+
+
+def _edge_blocks(g: SimpleGraph, before: str, between: str, after: str):
+    """The _edge_lines text of g's canonical edges, one str per row block."""
+    for start, stop in row_blocks(g.indptr):
+        yield _edge_lines(*g.edge_arrays(start, stop), before, between, after)
 
 
 def export_edge_list(g: SimpleGraph) -> str:
@@ -187,9 +193,13 @@ def export_dot(g: SimpleGraph, labels: list[str] | None = None) -> str:
     if labels is not None:
         if len(labels) != g.vertex_count:
             raise ValueError("need one label per vertex")
-        for v, text in enumerate(labels):
-            escaped = str(text).replace('"', '\\"')
-            parts.append(f'  {v} [label="{escaped}"];\n')
+        # one joined text per block of labels, not one str object per line
+        for start in range(0, len(labels), _EXPORT_CHUNK):
+            block = labels[start : start + _EXPORT_CHUNK]
+            escaped = (str(text).replace('"', '\\"') for text in block)
+            parts.append(
+                "".join(f'  {v} [label="{e}"];\n' for v, e in enumerate(escaped, start))
+            )
     parts += _edge_blocks(g, "  ", " -- ", ";\n")
     parts.append("}\n")
     return "".join(parts)

@@ -13,9 +13,13 @@ every pass, hold at most twice the CSR entries.  The scan is exact, all
 sources, up to 2^16 vertices; above that a seeded sample of 2048 sources is
 used and the sample size is recorded in the report.
 
-Triangles come from one pass over the wedges of the degree-ordered edge
-orientation, in bounded chunks, which sees each triangle once; the 4-clique
-test extends those triangles.
+Triangles come from the forward algorithm.  Each edge is kept once, as the
+CSR entry out of its end of lower (degree, index) rank: a filter of the
+sorted CSR taken over its row blocks, which needs no sort.  The wedges of
+the oriented rows are walked over the same kind of row blocks in chunks of
+at most _WEDGE_CHUNK, and each chunk's closing-edge queries are sorted
+before they are looked up in the sorted edge keys.  Each triangle is seen
+once, at its lowest-rank vertex; the 4-clique test extends those triangles.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from . import rng
-from .graphs import SimpleGraph, neighbour_table
+from .graphs import SimpleGraph, neighbour_table, row_blocks
 
 EXACT_BFS_LIMIT = 1 << 16
 SAMPLE_SOURCES = 2048
@@ -232,22 +236,36 @@ def _bfs_pass(blocks: list, m: int, sources: np.ndarray) -> tuple[int, int]:
         frontier, reached = reached, frontier
 
 
-def _orient(g: SimpleGraph):
-    """Canonical edges (us, vs), their sorted int64 keys u*V+v, and the same
-    edges pointed from lower to higher (degree, index) rank and grouped by
-    tail: the out-edges of x sit at positions ptr[x]:ptr[x+1], with heads
-    head and canonical edge ids eid.  No vertex has more than sqrt(2E)
-    out-edges."""
-    us, vs = g.edge_arrays()
-    keys = np.multiply(us, g.vertex_count, dtype=np.int64) + vs
-    deg = g.degrees()
-    up = deg[us] <= deg[vs]  # us < vs breaks degree ties
-    tail = np.where(up, us, vs)
-    eid = np.argsort(tail, kind="stable")
-    head = np.where(up, vs, us)[eid]
-    ptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=g.vertex_count), out=ptr[1:])
-    return us, vs, keys, ptr, head, eid
+def _oriented(g: SimpleGraph):
+    """(us, vs, keys, ptr, head): the canonical edges (us, vs) with u < v in
+    the order of g.edge_arrays(), their sorted int64 keys u*V+v, and each
+    edge once as the CSR entry x -> y of g with (deg x, x) < (deg y, y): the
+    out-edges of x have the heads head[ptr[x]:ptr[x+1]], ascending as in g.
+    No vertex has more than sqrt(2E) out-edges.  One pass over the row
+    blocks of g fills them, with no sort."""
+    n, deg = g.vertex_count, g.degrees()
+    us = np.empty(g.edge_count, dtype=np.int32)
+    vs = np.empty(g.edge_count, dtype=np.int32)
+    head = np.empty(g.edge_count, dtype=np.int32)
+    ptr = np.zeros(n + 1, dtype=g.indptr.dtype)  # out-degrees, then their sums
+    filled = oriented = 0
+    for start, stop in row_blocks(g.indptr):
+        dst = g.indices[g.indptr[start] : g.indptr[stop]]
+        src = np.repeat(np.arange(start, stop, dtype=np.int32), deg[start:stop])
+        upper = src < dst
+        deg_src, deg_dst = deg[src], deg[dst]
+        out = (deg_src < deg_dst) | ((deg_src == deg_dst) & upper)
+        ptr[start + 1 : stop + 1] = np.bincount(src[out] - start, minlength=stop - start)
+        heads = dst[out]
+        head[oriented : oriented + len(heads)] = heads
+        oriented += len(heads)
+        u, v = src[upper], dst[upper]
+        us[filled : filled + len(u)], vs[filled : filled + len(u)] = u, v
+        filled += len(u)
+    np.cumsum(ptr, out=ptr)
+    keys = np.multiply(us, n, dtype=np.int64)
+    keys += vs
+    return us, vs, keys, ptr, head
 
 
 def _segment_pairs(counts: np.ndarray):
@@ -256,9 +274,14 @@ def _segment_pairs(counts: np.ndarray):
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
     for start in range(0, total, _WEDGE_CHUNK):
-        flat = np.arange(start, min(start + _WEDGE_CHUNK, total))
-        item = np.searchsorted(ends, flat, side="right")
-        yield item, flat - (ends[item] - counts[item])
+        stop = min(start + _WEDGE_CHUNK, total)
+        # the items holding the chunk's first and last pair, and each one's
+        # share of the chunk
+        lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
+        share = np.minimum(ends[lo : hi + 1], stop)
+        share -= np.maximum(ends[lo : hi + 1] - counts[lo : hi + 1], start)
+        item = np.repeat(np.arange(lo, hi + 1), share)
+        yield item, np.arange(start, stop) - (ends[item] - counts[item])
 
 
 def _find_edges(keys: np.ndarray, n: int, a: np.ndarray, b: np.ndarray):
@@ -270,23 +293,39 @@ def _find_edges(keys: np.ndarray, n: int, a: np.ndarray, b: np.ndarray):
 
 
 def _triangles(n: int, keys: np.ndarray, ptr: np.ndarray, head: np.ndarray):
-    """Each triangle once, in chunks of at most _WEDGE_CHUNK wedges, as the
-    out-positions a < b of its lowest-rank vertex and the position in keys of
-    its closing edge head[a]-head[b]."""
-    ends = np.repeat(ptr[1:], np.diff(ptr))
-    later = ends - 1 - np.arange(len(head))  # out-edges after each position
-    for k, j in _segment_pairs(later):
-        partner = k + 1 + j
-        pos, found = _find_edges(keys, n, head[k], head[partner])
-        yield k[found], partner[found], pos[found]
+    """Each triangle once, as its lowest-rank vertex x, the heads y < z of
+    two out-edges of x, and the position in keys of its closing edge y-z.
+
+    The wedges (y, z) are walked over the row blocks of ptr in chunks of at
+    most _WEDGE_CHUNK.  A chunk's closing-edge queries are sorted before
+    the search, so that successive binary searches share their path
+    through keys, and only the found wedges are mapped back."""
+    for start, stop in row_blocks(ptr):
+        first = int(ptr[start])
+        # out-edges after each position of the block in its row
+        later = np.repeat(ptr[start + 1 : stop + 1], np.diff(ptr[start : stop + 1]))
+        later = later - np.arange(first + 1, first + 1 + len(later))
+        for k, j in _segment_pairs(later):
+            k += first  # positions in head
+            y, z = head[k], head[k + 1 + j]
+            query = np.multiply(y, n, dtype=np.int64) + z  # y < z in a row
+            order = np.argsort(query)
+            query = query[order]
+            pos = np.searchsorted(keys, query)
+            found = keys[np.minimum(pos, len(keys) - 1)] == query
+            wedge = order[found]
+            x = start + np.searchsorted(ptr[start + 1 : stop + 1], k[wedge], side="right")
+            yield x, y[wedge], z[wedge], pos[found]
 
 
 def _edge_triangle_counts(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-edge common-neighbor counts for canonical edges (u, v)."""
-    us, vs, keys, ptr, head, eid = _orient(g)
-    common = np.zeros(len(us), dtype=np.int64)
-    for a, b, closing in _triangles(g.vertex_count, keys, ptr, head):
-        np.add.at(common, np.concatenate([eid[a], eid[b], closing]), 1)
+    n = g.vertex_count
+    us, vs, keys, ptr, head = _oriented(g)
+    common = np.zeros(len(keys), dtype=np.int64)
+    for x, y, z, closing in _triangles(n, keys, ptr, head):
+        sides, _ = _find_edges(keys, n, np.concatenate([x, x]), np.concatenate([y, z]))
+        np.add.at(common, np.concatenate([sides, closing]), 1)
     return us, vs, common
 
 
@@ -340,15 +379,12 @@ def euler_characteristic(g: SimpleGraph) -> int:
 def k4_free(g: SimpleGraph) -> bool:
     """True iff the graph has no 4-clique."""
     n = g.vertex_count
-    _, _, keys, ptr, head, _ = _orient(g)
-    out_degree = np.diff(ptr)
-    tail = np.repeat(np.arange(n), out_degree)
+    _, _, keys, ptr, head = _oriented(g)
     # a 4-clique's lowest-rank vertex x has the other three as out-neighbours,
     # so it shows as a triangle x, y, z found at x plus an out-neighbour of x
     # adjacent to y and z
-    for a, b, _ in _triangles(n, keys, ptr, head):
-        x, y, z = tail[a], head[a], head[b]
-        for t, j in _segment_pairs(out_degree[x]):
+    for x, y, z, _ in _triangles(n, keys, ptr, head):
+        for t, j in _segment_pairs(ptr[x + 1] - ptr[x]):
             d = head[ptr[x[t]] + j]
             _, with_y = _find_edges(keys, n, d, y[t])
             _, with_z = _find_edges(keys, n, d, z[t])

@@ -307,14 +307,21 @@ def test_vertex_count_above_cap_rejected_before_allocating():
 
 
 def test_export_holds_its_text_at_most_twice():
-    # the block texts and their join, with no whole-graph array beside them
+    # the block texts and their join, with no whole-graph array and no str
+    # object per line beside them
     g = build_graph(MapFamily((Affine(2, 0), Affine(3, 1)), Zn(1 << 18)))
+    labels = [str(v) for v in range(g.vertex_count)]
     graphs._digit_groups()  # built once, on first use
-    for export in (export_edge_list, export_dot):
+    exports = {
+        "export_edge_list": lambda: export_edge_list(g),
+        "export_dot": lambda: export_dot(g),
+        "export_dot with labels": lambda: export_dot(g, labels),
+    }
+    for name, export in exports.items():
         tracemalloc.start()
         try:
-            text = export(g)
+            text = export()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * len(text) + (4 << 20), export.__name__
+        assert peak <= 2 * len(text) + (4 << 20), name

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from ringgraphs import metrics, survey
+from ringgraphs import graphs, metrics, survey
 from ringgraphs.graphs import build_graph, graph_from_edges, image_tables
 from ringgraphs.maps import (
     Affine,
@@ -386,6 +387,19 @@ def test_full_report_at_2_17_fits_in_one_gib():
     assert json.loads(run_under_rlimit(code, "RLIMIT_AS", 1 << 30)) == PINNED_2_17
 
 
+def test_euler_characteristic_at_2_20_fits_in_352_mib():
+    # build_graph and the triangle kernel on zn:2^20 under an address-space
+    # limit set on the child only; the smallest limit that fits, to 4 MiB,
+    # is 297 MiB, and 375 MiB with an argsort orientation beside the keys
+    code = (
+        "from ringgraphs import graphs, maps, metrics, spaces\n"
+        "space = spaces.parse_space('zn:1048576')\n"
+        "g = graphs.build_graph(maps.family_from_texts(space, 'x^2+1,x^2+2'))\n"
+        "print(metrics.euler_characteristic(g))\n"
+    )
+    assert run_under_rlimit(code, "RLIMIT_AS", 352 << 20) == "-1047539\n"
+
+
 # -- wedge triangle and 4-clique kernels against loops ------------------------
 
 
@@ -493,6 +507,66 @@ def test_k4_free_matches_brute_force(monkeypatch):
     assert [metrics.k4_free(g) for g in cases] == want
     monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 2)
     assert [metrics.k4_free(g) for g in cases] == want
+
+
+def row_block_cases(block: int):
+    """Graphs whose rows cut into kernel row blocks of `block` entries at
+    the edge cases (for a small block only)."""
+    # empty rows first, between and last, around a triangle and a K4
+    yield graph_from_edges(
+        16, [2, 2, 3, 7, 7, 7, 8, 8, 9], [3, 4, 4, 8, 9, 10, 9, 10, 10]
+    )
+    # a hub whose oriented row is longer than a block: each rim vertex has
+    # leaves up to the hub's degree, so the hub ranks below all of them, and
+    # the rim cycle closes a triangle with every pair of adjacent spokes
+    rim = block + 2
+    spokes = list(range(1, rim + 1))
+    us, vs = [0] * rim + spokes, spokes + spokes[1:] + [1]
+    leaf = rim + 1
+    for v in spokes:
+        us += [v] * (rim - 3)
+        vs += range(leaf, leaf + rim - 3)
+        leaf += rim - 3
+    yield graph_from_edges(leaf, us, vs)
+    # a triangle 0, far-1, far past a path: its closing edge far-1 - far is
+    # filled in a later block than the out-edges of 0
+    far = 3 * block + 4
+    path = list(range(1, far - 2))
+    yield graph_from_edges(
+        far + 1, path + [0, 0, far - 1], [v + 1 for v in path] + [far - 1, far, far]
+    )
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_triangle_kernels_across_row_blocks(monkeypatch, block):
+    monkeypatch.setattr(graphs, "_EXPORT_CHUNK", block)
+    extra = list(row_block_cases(block))
+    for g in extra:
+        assert len(list(graphs.row_blocks(g.indptr))) > 1
+        assert metrics.triangle_count(g) == brute_triangles(g) > 0
+    triangle_graphs = [*triangle_cases(), *extra]
+    k4_graphs = [*k4_cases(), *extra]
+    want = [not brute_has_k4(g) for g in k4_graphs]
+    assert True in want[-3:] and False in want[-3:]
+    for wedges in (2, 3):
+        monkeypatch.setattr(metrics, "_WEDGE_CHUNK", wedges)
+        for g in triangle_graphs:
+            assert_triangle_kernel_matches_loop(g)
+        assert [metrics.k4_free(g) for g in k4_graphs] == want
+
+
+def test_triangle_kernel_holds_no_whole_graph_temporary():
+    # the outputs, keys, the oriented heads and their row offsets come to
+    # 7.9 MB here; an argsort permutation and E-long wedge offsets beside
+    # them would pass the bound
+    g = from_texts("zn:131072", "x^2+1,x^2+2")
+    tracemalloc.start()
+    try:
+        metrics._edge_triangle_counts(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 << 20
 
 
 # -- batched component counts -----------------------------------------------
