@@ -29,10 +29,6 @@ from .survey import (
 )
 from .verify import CLAIM_IDS, CLAIMS, PIERPONT_SPACE_KINDS, run_claim
 
-# header keys that reappear as positional CLI arguments, and as bare flags
-_POSITIONAL_KEYS = ("claim", "kind")
-_FLAG_KEYS = ("labels",)
-
 # run_claim parameters whose verify flag is spelt differently
 _VERIFY_FLAGS = {"n_max": "nmax", "p_max": "pmax", "space_kind": "space-kind"}
 
@@ -40,7 +36,7 @@ _VERIFY_FLAGS = {"n_max": "nmax", "p_max": "pmax", "space_kind": "space-kind"}
 @dataclass(frozen=True)
 class RunConfig:
     """Content-determining configuration of one run, as ordered key=value
-    pairs; round-trips through the comment header of any output file."""
+    pairs: the comment header of any output file."""
 
     command: str
     fields: tuple[tuple[str, str], ...]
@@ -48,37 +44,6 @@ class RunConfig:
     def header_lines(self) -> list[str]:
         pairs = (("command", self.command),) + self.fields
         return [f"ringgraphs={__version__}"] + [f"{k}={v}" for k, v in pairs]
-
-    def to_args(self) -> list[str]:
-        """Reconstruct the argument vector that reproduces this run."""
-        argv = [self.command]
-        for key, value in self.fields:
-            if key in _POSITIONAL_KEYS:
-                argv.append(value)
-            elif key in _FLAG_KEYS:
-                argv.append(f"--{key}")
-            else:  # one token, so a value starting with '-' is not read as an option
-                argv.append(f"--{key}={value}")
-        return argv
-
-    @classmethod
-    def from_output(cls, text: str) -> "RunConfig":
-        """Parse the header back out of a written output file."""
-        pairs = []
-        for line in text.removeprefix("P1\n").splitlines():
-            if not line.startswith(("# ", "// ")):
-                break
-            key, sep, value = line.split(" ", 1)[1].strip().partition("=")
-            if sep:
-                pairs.append((key, value))
-        table = dict(pairs)
-        if "command" not in table:
-            raise ValueError("no run configuration header found")
-        command = table["command"]
-        fields = tuple(
-            (k, v) for k, v in pairs if k not in ("command", "ringgraphs")
-        )
-        return cls(command, fields)
 
 
 # characters of the body written per call by _write, so that the body is
@@ -122,12 +87,10 @@ def cmd_gen(args) -> int:
     outs = args.out or [None]
     for path in outs:
         if path is not None and path.endswith(".dot"):
-            labels = None
-            dot_fields = fields
+            space, dot_fields = None, fields
             if args.labels:
-                labels = [str(p) for p in family.space.payloads()]
-                dot_fields += (("labels", "true"),)
-            _write(path, export_dot(g, labels), RunConfig("gen", dot_fields))
+                space, dot_fields = family.space, fields + (("labels", "true"),)
+            _write(path, export_dot(g, space), RunConfig("gen", dot_fields))
         else:
             _write(path, export_edge_list(g), RunConfig("gen", fields))
     return 0

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .maps import MapFamily, image_table
-from .spaces import SIZE_CAP
+from .spaces import SIZE_CAP, ResidueSpace, StateSpace
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,8 @@ def build_graph(family: MapFamily) -> SimpleGraph:
     return _simple_graph(csr_matrix((moves.ravel(), table.ravel(), indptr), shape=shape))
 
 
-# CSR entries per row block of the export and of the triangle kernel, edges
-# per ASCII matrix in _edge_lines and labels per joined text of export_dot;
+# CSR entries per row block of the export and of the triangle kernel, rows
+# per ASCII matrix in _text_rows and states per label block of export_dot;
 # bounds the memory of each at a few MB
 _EXPORT_CHUNK = 1 << 16
 
@@ -122,33 +123,32 @@ def _digit_groups() -> np.ndarray:
     return groups
 
 
-def _edge_lines(
-    us: np.ndarray, vs: np.ndarray, before: str, between: str, after: str
-) -> str:
-    """before + u + between + v + after for each edge, concatenated.
+def _text_rows(columns: tuple[np.ndarray, ...], texts: tuple[str, ...]) -> str:
+    """texts[0] + columns[0][i] + texts[1] + ... + columns[-1][i] + texts[-1]
+    for each row i, concatenated: k equal-length arrays of non-negative
+    integers between k + 1 literal texts.
 
-    Each chunk of edges becomes one (edges, width) uint8 matrix of ASCII
-    rows copied from a template line, with u and v written in as
-    fixed-width decimal digits whose leading zeros a mask drops when the
-    rows are joined.  The digits go in four at a time: one % 10**4 and one
-    gather from _digit_groups() per group, then one 1-D column copy per
-    digit."""
-    if len(us) == 0:
+    Each chunk of rows becomes one (rows, width) uint8 matrix of ASCII
+    rows copied from a template line, with each column written in as
+    fixed-width decimal digits, the width of its own largest value, whose
+    leading zeros a mask drops when the rows are joined.  The digits go in
+    four at a time: one % 10**4 and one gather from _digit_groups() per
+    group, then one 1-D column copy per digit."""
+    if len(columns[0]) == 0:
         return ""
     table = _digit_groups()
-    width = len(str(int(max(us.max(), vs.max()))))
-    pad = "0" * width
-    line = f"{before}{pad}{between}{pad}{after}"
+    widths = [len(str(int(column.max()))) for column in columns]
+    line = texts[0] + "".join("0" * w + text for w, text in zip(widths, texts[1:]))
     template = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
-    u_stop = len(before) + width
-    v_stop = u_stop + len(between) + width
+    # the template column just past each number's units digit
+    stops = list(accumulate(len(text) + w for text, w in zip(texts, widths)))
     out = []
-    for start in range(0, len(us), _EXPORT_CHUNK):
+    for start in range(0, len(columns[0]), _EXPORT_CHUNK):
         chunk = slice(start, start + _EXPORT_CHUNK)
-        rows = np.tile(template, (len(us[chunk]), 1))
+        rows = np.tile(template, (len(columns[0][chunk]), 1))
         keep = np.ones(rows.shape, dtype=bool)
-        for stop, ends in ((u_stop, us[chunk]), (v_stop, vs[chunk])):
-            rest = ends
+        for stop, width, column in zip(stops, widths, columns):
+            ends = rest = column[chunk]
             for k in range(width):  # k-th digit from the right, in column stop-1-k
                 if k % 4 == 0:  # the top group is below 10**4 already
                     low = rest % 10**4 if k + 4 < width else rest
@@ -176,30 +176,40 @@ def row_blocks(indptr: np.ndarray):
         start = stop
 
 
-def _edge_blocks(g: SimpleGraph, before: str, between: str, after: str):
-    """The _edge_lines text of g's canonical edges, one str per row block."""
+def _edge_blocks(g: SimpleGraph, texts: tuple[str, str, str]):
+    """The _text_rows text of g's canonical edges, one str per row block."""
     for start, stop in row_blocks(g.indptr):
-        yield _edge_lines(*g.edge_arrays(start, stop), before, between, after)
+        yield _text_rows(g.edge_arrays(start, stop), texts)
+
+
+def _label_blocks(space: StateSpace):
+    """The DOT label rows of space's states, one str per block of
+    _EXPORT_CHUNK states, each state written from its digit columns."""
+    if isinstance(space, ResidueSpace):  # a residue as its integer
+        texts = ("  ", ' [label="', '"];\n')
+    else:  # a digit tuple as Python prints it: (a, b, c), or (a,)
+        k = len(space.places)
+        texts = ("  ", ' [label="(', *[", "] * (k - 1), (",)" if k == 1 else ")") + '"];\n')
+    for start in range(0, space.size, _EXPORT_CHUNK):
+        index = np.arange(start, min(start + _EXPORT_CHUNK, space.size), dtype=np.int64)
+        yield _text_rows((index, *space.digits(index)), texts)
 
 
 def export_edge_list(g: SimpleGraph) -> str:
     """One line per edge "u v" with u < v, ascending; deterministic."""
-    return "".join(_edge_blocks(g, "", " ", "\n"))
+    return "".join(_edge_blocks(g, ("", " ", "\n")))
 
 
-def export_dot(g: SimpleGraph, labels: list[str] | None = None) -> str:
-    """Undirected DOT document with edges in canonical order."""
+def export_dot(g: SimpleGraph, space: StateSpace | None = None) -> str:
+    """Undirected DOT document with edges in canonical order; given the
+    space of g's vertices, each vertex first gets a row labelled with its
+    state.  Label and edge rows alike go through _text_rows, block by
+    block, so no per-state Python object is built."""
     parts = ["graph G {\n"]
-    if labels is not None:
-        if len(labels) != g.vertex_count:
-            raise ValueError("need one label per vertex")
-        # one joined text per block of labels, not one str object per line
-        for start in range(0, len(labels), _EXPORT_CHUNK):
-            block = labels[start : start + _EXPORT_CHUNK]
-            escaped = (str(text).replace('"', '\\"') for text in block)
-            parts.append(
-                "".join(f'  {v} [label="{e}"];\n' for v, e in enumerate(escaped, start))
-            )
-    parts += _edge_blocks(g, "  ", " -- ", ";\n")
+    if space is not None:
+        if space.size != g.vertex_count:
+            raise ValueError(f"{space.spec()} has {space.size} states, not {g.vertex_count}")
+        parts += _label_blocks(space)
+    parts += _edge_blocks(g, ("  ", " -- ", ";\n"))
     parts.append("}\n")
     return "".join(parts)

@@ -51,10 +51,6 @@ class StateSpace:
         """Index (or index array) of a column tuple."""
         raise NotImplementedError
 
-    def payloads(self) -> list:
-        """Every payload in index order, as column tuples."""
-        return list(zip(*(c.tolist() for c in self.digits(np.arange(self.size, dtype=np.int64)))))
-
     def spec(self) -> str:
         """The specifier parse_space reads back: the kind, then each field."""
         return ":".join([self.kind] + [str(getattr(self, f.name)) for f in fields(self)])
@@ -100,10 +96,6 @@ class ResidueSpace(StateSpace):
     def pack(self, digits):
         (residue,) = digits
         return np.maximum(residue - self.first, -1)
-
-    def payloads(self) -> list:
-        """Every member residue in index order."""
-        return self.digits(np.arange(self.size, dtype=np.int64))[0].tolist()
 
 
 class Zn(ResidueSpace):

@@ -115,8 +115,7 @@ def loop_dot(g: SimpleGraph, labels: list[str] | None = None) -> str:
     lines = ["graph G {"]
     if labels is not None:
         for v, text in enumerate(labels):
-            escaped = str(text).replace('"', '\\"')
-            lines.append(f'  {v} [label="{escaped}"];')
+            lines.append(f'  {v} [label="{text}"];')
     us, vs = g.edge_arrays()
     for u, v in zip(us, vs):
         lines.append(f"  {u} -- {v};")

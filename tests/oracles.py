@@ -9,7 +9,8 @@ bit is the most significant in the index.  The index codecs below spell
 that order out per space kind, and `apply` applies one map to one state.
 Nothing here uses the package's table, digit, payload or shuffle code; the
 seeded shuffle that defines the perm maps and the sampled distance sources
-is written out below one splitmix64 draw at a time.
+is written out below one splitmix64 draw at a time.  The parse of a
+run's comment header back into its argument vector lives here too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from ringgraphs.maps import (
     WSMap,
     format_map,
 )
+from ringgraphs.cli import RunConfig
 from ringgraphs.graphs import SimpleGraph
 from ringgraphs.numtheory import factorize
 from ringgraphs.spaces import (
@@ -353,3 +355,39 @@ class UnionFind:
     def labels(self) -> list[int]:
         """Component label per element: the root index of its set."""
         return [self.find(x) for x in range(len(self.parent))]
+
+
+# -- run headers --------------------------------------------------------------
+
+# header keys that reappear as positional CLI arguments, and as bare flags
+_POSITIONAL_KEYS = ("claim", "kind")
+_FLAG_KEYS = ("labels",)
+
+
+def config_args(config: RunConfig) -> list[str]:
+    """Reconstruct the argument vector that reproduces a run."""
+    argv = [config.command]
+    for key, value in config.fields:
+        if key in _POSITIONAL_KEYS:
+            argv.append(value)
+        elif key in _FLAG_KEYS:
+            argv.append(f"--{key}")
+        else:  # one token, so a value starting with '-' is not read as an option
+            argv.append(f"--{key}={value}")
+    return argv
+
+
+def config_from_output(text: str) -> RunConfig:
+    """Parse the run configuration header back out of a written output file."""
+    pairs = []
+    for line in text.removeprefix("P1\n").splitlines():
+        if not line.startswith(("# ", "// ")):
+            break
+        key, sep, value = line.split(" ", 1)[1].strip().partition("=")
+        if sep:
+            pairs.append((key, value))
+    table = dict(pairs)
+    if "command" not in table:
+        raise ValueError("no run configuration header found")
+    fields = tuple((k, v) for k, v in pairs if k not in ("command", "ringgraphs"))
+    return RunConfig(table["command"], fields)

@@ -15,7 +15,7 @@ from ringgraphs.maps import MapFamily, parse_maps
 from ringgraphs.spaces import Zn, parse_space
 
 from conftest import child_env, loop_dot, run_under_rlimit
-from oracles import enumerate_states
+from oracles import config_args, config_from_output, enumerate_states
 
 
 def run(args):
@@ -56,7 +56,20 @@ def test_gen_edges_and_dot(tmp_path):
 
 @pytest.mark.parametrize(
     "space,maps",
-    [("zn:31", "2x,3x+1"), ("units:24", "x^2"), ("mat2:3", "matquad:1,2,2,4")],
+    [
+        ("zn:31", "2x,3x+1"),
+        ("units:24", "x^2"),
+        ("mat2:3", "matquad:1,2,2,4"),
+        ("znz:13", "x^2"),
+        ("from2:11", "x^2+1"),
+        ("ut2:3", "matquad:1,1,0,1"),
+        ("poly:3:3", "deriv,square"),
+        ("bits:5", "ca:110"),
+        ("poly:5:1", "deriv"),  # one-tuple labels: (3,)
+        # more states than one label block of each family
+        ("units:200000", "x^2"),
+        ("bits:17", "ca:30,ca:110"),
+    ],
 )
 def test_gen_dot_labels_are_state_payloads(tmp_path, space, maps):
     dot = tmp_path / "g.dot"
@@ -176,9 +189,9 @@ def test_run_config_roundtrips_through_output(tmp_path):
         text = read(first)
         if text.startswith("P1\n"):  # a PBM keeps # lines, whatever its suffix
             assert text.splitlines()[1].startswith("# ringgraphs="), argv
-        config = cli.RunConfig.from_output(text)
+        config = config_from_output(text)
         second = tmp_path / f"second{i}{suffix}"
-        assert run(config.to_args() + ["--out", str(second)]) in (0, 2)
+        assert run(config_args(config) + ["--out", str(second)]) in (0, 2)
         assert read(first) == read(second), argv
 
 
@@ -279,7 +292,7 @@ def test_scan_rejects_an_option_its_kind_does_not_take(tmp_path, capsys, kind, f
 
 def test_scan_header_records_every_option_of_its_kind(capsys):
     assert run(["scan", "perm-lambda", "--trials", "2"]) == 0
-    config = cli.RunConfig.from_output(capsys.readouterr().out)
+    config = config_from_output(capsys.readouterr().out)
     assert config.fields == (
         ("kind", "perm-lambda"), ("n", "100"), ("trials", "2"), ("seed", "0"),
     )
@@ -330,7 +343,7 @@ def test_scan_ca_mandelbrot_to_stdout_matches_the_file(tmp_path, capsys):
     capsys.readouterr()
     assert run(argv) == 0
     assert capsys.readouterr().out == read(out)
-    config = cli.RunConfig.from_output(read(out))
+    config = config_from_output(read(out))
     assert config.fields == (("kind", "ca-mandelbrot"), ("width", "3"))
 
 
@@ -481,3 +494,24 @@ def test_gen_at_2_21_fits_in_448_mib_of_address_space(tmp_path):
     )
     run_under_rlimit(code, "RLIMIT_AS", 448 << 20)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GEN_2_21_SHA256
+
+
+_GEN_BITS_19_LABELS_SHA256 = "4ea986ad21f96d38803953c880615a7b40e5212ed4848fe7ed994fe8dff95d02"
+
+
+def test_gen_labels_at_bits_19_fit_in_392_mib_of_address_space(tmp_path):
+    # the label rows are written per block of states straight from their
+    # digit columns: the smallest address-space limit it ran under was 373
+    # MiB, against 404 MiB while gen built a tuple and a label str for every
+    # state first (Linux x86-64, Python 3.11, numpy 2.4, scipy 1.17, one
+    # BLAS thread)
+    out = tmp_path / "g.dot"
+    code = (
+        "import sys\n"
+        "from ringgraphs import cli\n"
+        "argv = ['gen', '--space', 'bits:19', '--maps', 'ca:30,ca:110', '--labels',"
+        f" '--out', {str(out)!r}]\n"
+        "sys.exit(cli.main(argv))\n"
+    )
+    run_under_rlimit(code, "RLIMIT_AS", 392 << 20)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GEN_BITS_19_LABELS_SHA256

@@ -51,9 +51,12 @@ def test_export_dot():
     assert doc.startswith("graph G {")
     assert doc.count(" -- ") == 3
     g = build_graph(MapFamily((Affine(2, 0),), Zn(4)))
-    doc4 = export_dot(g, labels=[str(s.payload) for s in enumerate_states(Zn(4))])
+    doc4 = export_dot(g, Zn(4))
     assert doc4.count("label=") == 4
     assert doc4.count(" -- ") == 3
+    assert doc4 == loop_dot(g, payload_labels(Zn(4)))
+    with pytest.raises(ValueError, match="zn:5 has 5 states, not 4"):
+        export_dot(g, Zn(5))
     assert export_dot(g) == export_dot(g)  # byte determinism
     assert export_edge_list(g) == export_edge_list(g)
 
@@ -189,13 +192,36 @@ def export_cases():
     yield graph_from_edges(11, [0] * 10, range(1, 11))
     yield build_graph(preset("collatz", 1000))
     yield build_graph(MapFamily((Affine(1, 1), Affine(1, 37)), Zn(12345)))
+    # the sizes of the digit spaces of label_spaces
+    yield build_graph(MapFamily((maps.PolyDeriv(), maps.PolySquare()), spaces.PolyQuot(11, 3)))
+    yield build_graph(MapFamily((PowerPlus(2, 0), PowerPlus(2, 1)), spaces.UpperTri2(12)))
+    yield build_graph(MapFamily((maps.MatQuad((1, 2, 2, 4)),), spaces.Mat2(3)))
+    yield build_graph(MapFamily((maps.CARule(30),), spaces.BitVec(4)))
+
+
+def payload_labels(space):
+    """The label of each state, from the pointwise route."""
+    return [str(s.payload) for s in enumerate_states(space)]
+
+
+def label_spaces(vertex_count):
+    """Spaces of vertex_count states to label a graph with: a residue run
+    whose residues are two past the vertices (so a width can grow by one
+    digit), the one-column digit space, whose labels print as (a,), and a
+    digit space of three or more columns, some wider than one digit or
+    pinned at 0, when one has that size."""
+    if vertex_count == 0:
+        return []
+    found = [spaces.ZnFromTwo(vertex_count + 2), spaces.PolyQuot(vertex_count, 1)]
+    wide = [spaces.PolyQuot(11, 3), spaces.UpperTri2(12), spaces.Mat2(3), spaces.BitVec(4)]
+    return found + [space for space in wide if space.size == vertex_count][:1]
 
 
 def assert_export_matches_loops(g):
     assert export_edge_list(g) == loop_edge_list(g)
     assert export_dot(g) == loop_dot(g)
-    labels = [f'"{v}" say "hi"' if v % 3 == 0 else str(v) for v in range(g.vertex_count)]
-    assert export_dot(g, labels) == loop_dot(g, labels)
+    for space in label_spaces(g.vertex_count):
+        assert export_dot(g, space) == loop_dot(g, payload_labels(space)), space
 
 
 def block_cut_cases(chunk):
@@ -230,18 +256,22 @@ def test_export_matches_fstring_loops(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(graphs, "_EXPORT_CHUNK", chunk)
     chunk = graphs._EXPORT_CHUNK
-    edge_lines, calls = graphs._edge_lines, []
+    text_rows, calls = graphs._text_rows, []
 
     def spy(*args):
         calls.append(args)
-        return edge_lines(*args)
+        return text_rows(*args)
 
-    monkeypatch.setattr(graphs, "_edge_lines", spy)
+    monkeypatch.setattr(graphs, "_text_rows", spy)
     for g in [*export_cases(), *block_cut_cases(chunk)]:
         calls.clear()
         assert_export_matches_loops(g)
-        # each of the three exports cuts the rows into the same blocks
-        assert len(calls) == 3 * greedy_block_count(g.indptr, chunk)
+        # every export cuts the rows into the same blocks, and each labelled
+        # one writes one label block per chunk of states
+        labelled = len(label_spaces(g.vertex_count))
+        edge_blocks = greedy_block_count(g.indptr, chunk)
+        label_blocks = -(-g.vertex_count // chunk)
+        assert len(calls) == (2 + labelled) * edge_blocks + labelled * label_blocks
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 3])
@@ -257,7 +287,14 @@ def test_edge_lines_at_digit_group_boundaries(monkeypatch, chunk):
         us, vs = np.repeat(ends, top), np.tile(ends, top)
         for before, between, after in (("", " ", "\n"), ("  ", " -- ", ";\n")):
             expected = "".join(f"{before}{u}{between}{v}{after}" for u, v in zip(us, vs))
-            assert graphs._edge_lines(us, vs, before, between, after) == expected
+            assert graphs._text_rows((us, vs), (before, between, after)) == expected
+        # three and four columns of their own widths, the last int64 and
+        # one digit wide, between texts of every length from 0 to 3
+        ws, zs = us[::-1].copy(), np.arange(len(us), dtype=np.int64) % 10
+        expected = "".join(f"{u}|{v}, {w}[ ]{z}\n" for u, v, w, z in zip(us, vs, ws, zs))
+        assert graphs._text_rows((us, vs, ws, zs), ("", "|", ", ", "[ ]", "\n")) == expected
+        expected = "".join(f"({w}, {u}, {v})" for u, v, w in zip(us, vs, ws))
+        assert graphs._text_rows((ws, us, vs), ("(", ", ", ", ", ")")) == expected
 
 
 @pytest.mark.parametrize(
@@ -309,13 +346,13 @@ def test_vertex_count_above_cap_rejected_before_allocating():
 def test_export_holds_its_text_at_most_twice():
     # the block texts and their join, with no whole-graph array and no str
     # object per line beside them
-    g = build_graph(MapFamily((Affine(2, 0), Affine(3, 1)), Zn(1 << 18)))
-    labels = [str(v) for v in range(g.vertex_count)]
+    space = Zn(1 << 18)
+    g = build_graph(MapFamily((Affine(2, 0), Affine(3, 1)), space))
     graphs._digit_groups()  # built once, on first use
     exports = {
         "export_edge_list": lambda: export_edge_list(g),
         "export_dot": lambda: export_dot(g),
-        "export_dot with labels": lambda: export_dot(g, labels),
+        "export_dot with labels": lambda: export_dot(g, space),
     }
     for name, export in exports.items():
         tracemalloc.start()

@@ -187,12 +187,12 @@ def test_index_bijection_roundtrip(space):
         seen.add(state.payload)
     assert len(seen) == space.size  # pairwise distinct payloads
     payloads = [s.payload for s in enumerate_states(space)]
-    assert space.payloads() == payloads
     # the layout, one index at a time and as whole columns
     rows = payloads if isinstance(space, DigitSpace) else [(p,) for p in payloads]
     assert [tuple(space.digits(i)) for i in range(space.size)] == rows
     assert [space.pack(r) for r in rows] == list(range(space.size))
     columns = space.digits(np.arange(space.size, dtype=np.int64))
+    assert list(zip(*(c.tolist() for c in columns))) == rows
     assert np.array_equal(space.pack(columns), np.arange(space.size))
 
 
