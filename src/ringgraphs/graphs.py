@@ -91,6 +91,15 @@ def neighbour_table(tables: list[np.ndarray], offset=0) -> np.ndarray:
     return table
 
 
+def row_pointer(table: np.ndarray) -> np.ndarray:
+    """The CSR row pointer of a (V, k) neighbour table, k entries per row.
+    It is int32 unless V * k would wrap it, so that scipy keeps it and the
+    table as they are: given an int64 one, it makes an int32 copy while
+    the caller still holds the original."""
+    dtype = np.int32 if table.size < 1 << 31 else np.int64
+    return np.arange(0, table.size + 1, table.shape[1], dtype=dtype)
+
+
 def build_graph(family: MapFamily) -> SimpleGraph:
     """Vertex i ~ vertex j (i != j) iff some map sends state i to state j or
     state j to state i."""
@@ -100,9 +109,8 @@ def build_graph(family: MapFamily) -> SimpleGraph:
     table = neighbour_table(image_tables(family))
     # loops, missing images included, enter as False and drop out of a + a.T
     moves = table != np.arange(space.size, dtype=np.int32)[:, None]
-    indptr = np.arange(0, table.size + 1, len(family.maps))
-    shape = (space.size, space.size)
-    return _simple_graph(csr_matrix((moves.ravel(), table.ravel(), indptr), shape=shape))
+    csr = (moves.ravel(), table.ravel(), row_pointer(table))
+    return _simple_graph(csr_matrix(csr, shape=(space.size, space.size)))
 
 
 # CSR entries per row block of the export and of the triangle kernel, rows

@@ -349,7 +349,10 @@ def family_from_texts(space: StateSpace, maps_text: str) -> MapFamily:
 # ---------------------------------------------------------------------------
 # vectorized application
 
-_TABLE_CHUNK = 1 << 20  # states per chunk of columns in image_table
+# states per chunk of columns in image_table: small enough that a chunk's
+# int64 temporaries do not dwarf the table, and no smaller, since sigma
+# makes about sqrt(stop) numpy calls per chunk whatever its length
+_TABLE_CHUNK = 1 << 18
 
 
 def _power(x, e: int, one, mul):

@@ -33,7 +33,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from . import rng
-from .graphs import SimpleGraph, neighbour_table, row_blocks
+from .graphs import SimpleGraph, neighbour_table, row_blocks, row_pointer
 
 EXACT_BFS_LIMIT = 1 << 16
 SAMPLE_SOURCES = 2048
@@ -125,9 +125,8 @@ def _block_counts(chunk: list) -> np.ndarray:
     table = neighbour_table(
         [np.concatenate([tables[k] for tables in chunk]) for k in range(maps)], offset
     )
-    indptr = np.arange(0, table.size + 1, maps)  # scipy keeps int32 if it fits
     data = np.ones(table.size)  # float64, which scipy would otherwise sort to cast
-    mat = csr_matrix((data, table.ravel(), indptr), shape=(total, total))
+    mat = csr_matrix((data, table.ravel(), row_pointer(table)), shape=(total, total))
     count, labels = _scipy_components(mat, directed=False)
     owner = np.empty(count, dtype=np.int64)
     owner[labels] = block  # no component spans two blocks

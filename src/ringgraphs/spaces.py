@@ -8,7 +8,7 @@ specifier as fields, and what sets it apart from its family:
 - residue spaces (subsets of Z_n) have one column, the member residue.  By
   default the members are first, first+1, ..., n-1, so a kind declares
   `first` and `too_small`, the error for n <= first; the units override
-  the layout with a lookup table.
+  the layout with their member list and a rank lookup.
 - digit spaces have one column per place value, and a kind declares `free`
   (how many digits vary) and `places`: matrix spaces carry row-major entry
   tuples, polynomial quotients low-degree-first coefficient tuples, and
@@ -127,25 +127,41 @@ class ZnUnits(ResidueSpace):
         return euler_phi(self.n)
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """The member residues in order, and the index of every residue
-        (-1 for non-units).  int32 holds both: n is below 2^31 when the
-        space is under the cap."""
-        unit = np.ones(self.n, dtype=bool)
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The member residues in order, and a rank structure over the
+        units (Jacobson 1989): the unit mask packed into uint64 words, bit
+        r % 64 of word r // 64 for residue r, and the count of units before
+        each word, n/8 + n/16 bytes where an index per residue took 4n.
+        int32 holds the residues and counts: n is below 2^31 when the space
+        is under the cap."""
+        unit = np.zeros(-self.n % 64 + self.n, dtype=bool)
+        unit[: self.n] = True
         for p in factorize(self.n).primes():
             unit[::p] = False
-        members = np.flatnonzero(unit).astype(np.int32)
-        del unit
-        lookup = np.full(self.n, -1, dtype=np.int32)
-        lookup[members] = np.arange(len(members), dtype=np.int32)
-        return members, lookup
+        # little-endian bit and byte order whatever the platform's
+        words = np.packbits(unit, bitorder="little").view("<u8").astype(np.uint64)
+        before = np.zeros(len(words), dtype=np.int32)
+        np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int32, out=before[1:])
+        # the members a block of words at a time: flatnonzero gives int64
+        members = np.empty(self.size, dtype=np.int32)
+        block = 1 << 14
+        for w in range(0, len(words), block):
+            found = np.flatnonzero(unit[w * 64 : (w + block) * 64]) + w * 64
+            members[before[w] : before[w] + len(found)] = found
+        return members, words, before
 
     def digits(self, index) -> tuple:
         return (self._layout[0][index].astype(np.int64),)
 
     def pack(self, digits):
         (residue,) = digits
-        return self._layout[1][residue]
+        _, words, before = self._layout
+        residue = np.asarray(residue)
+        word = residue >> 6
+        # the word's bits up to r's, shifted to the top: the top bit is r's
+        low = words[word] << (63 - (residue & 63)).astype(np.uint64)
+        rank = before[word] + np.bitwise_count(low) - 1
+        return np.where(low >> np.uint64(63) == 1, rank, -1)
 
 
 class DigitSpace(StateSpace):

@@ -123,6 +123,19 @@ def loop_dot(g: SimpleGraph, labels: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got: str, want: str, what: str = "") -> None:
+    """got == want exactly.  A mismatch reports the first line that differs,
+    where a plain assert would have pytest diff whole documents of a few
+    MB, which takes minutes."""
+    if got == want:
+        return
+    ours, theirs = got.split("\n"), want.split("\n")
+    for i, (a, b) in enumerate(zip(ours, theirs)):
+        if a != b:
+            raise AssertionError(f"{what}: line {i + 1} is {a!r}, expected {b!r}")
+    raise AssertionError(f"{what}: {len(ours)} lines, expected {len(theirs)}")
+
+
 def graph_edges(g: SimpleGraph) -> set[tuple[int, int]]:
     us, vs = g.edge_arrays()
     return {(int(u), int(v)) for u, v in zip(us, vs)}

@@ -2,13 +2,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from ringgraphs import graphs, maps, metrics, spaces
 from ringgraphs.graphs import build_graph, export_dot, export_edge_list, graph_from_edges
 from ringgraphs.maps import Affine, MapFamily, PowerPlus, preset
 from ringgraphs.spaces import Zn
 
-from conftest import brute_edges, graph_edges, loop_dot, loop_edge_list, sorted_csr
+from conftest import (
+    assert_same_text,
+    brute_edges,
+    graph_edges,
+    loop_dot,
+    loop_edge_list,
+    run_under_rlimit,
+    sorted_csr,
+)
 from oracles import enumerate_states, neighbor_array
 
 
@@ -218,10 +227,17 @@ def label_spaces(vertex_count):
 
 
 def assert_export_matches_loops(g):
-    assert export_edge_list(g) == loop_edge_list(g)
-    assert export_dot(g) == loop_dot(g)
+    assert_same_text(export_edge_list(g), loop_edge_list(g))
+    assert_same_text(export_dot(g), loop_dot(g))
     for space in label_spaces(g.vertex_count):
-        assert export_dot(g, space) == loop_dot(g, payload_labels(space)), space
+        assert_same_text(export_dot(g, space), loop_dot(g, payload_labels(space)), space.spec())
+
+
+def test_assert_same_text_reports_the_first_differing_line():
+    with pytest.raises(AssertionError, match="^doc: line 2 is '1 3', expected '1 2'$"):
+        assert_same_text("0 1\n1 3\n", "0 1\n1 2\n", "doc")
+    with pytest.raises(AssertionError, match="^doc: 2 lines, expected 1$"):
+        assert_same_text("0 1\n", "0 1", "doc")
 
 
 def block_cut_cases(chunk):
@@ -323,6 +339,44 @@ def test_build_graph_matches_edge_route(family, escapes):
     pairs = family_pairs(family)
     assert_matches_sort_oracle(*pairs)
     assert_matches_sort_oracle(*pairs, g=build_graph(family))
+
+
+def test_row_pointer_is_int32_until_it_would_wrap():
+    # scipy keeps an int32 row pointer and the table as they are
+    family = preset("collatz", 1000)
+    table = graphs.neighbour_table(graphs.image_tables(family))
+    indptr = graphs.row_pointer(table)
+    mat = csr_matrix((table.ravel() >= 0, table.ravel(), indptr), shape=(1000, 1000))
+    assert mat.indptr is indptr and np.shares_memory(mat.indices, table)
+    # tables of 2^31 - 1 and 2^31 entries, as zero-strided views
+    for k, dtype in (((1 << 31) - 1, np.int32), (1 << 31, np.int64)):
+        indptr = graphs.row_pointer(np.broadcast_to(np.int32(0), (1, k)))
+        assert indptr.dtype == dtype and indptr.tolist() == [0, k]
+
+
+# SHA-256 of the int32 indptr and indices of build_graph of 2x,3x+1 on
+# zn:2^22, little-endian, as built before the row pointer was int32
+_BUILD_2_22_SHA256 = "e0f42b749b326890e21f08c528e1a9dec9d095bfa94525707521e220d4aa951a"
+
+
+def test_build_graph_at_2_22_fits_in_456_mib_of_address_space():
+    # scipy shares the neighbour table and its int32 row pointer, and the
+    # image tables are built in chunks of 2^18 states: the smallest
+    # address-space limit it ran under was 436 MiB, against 469 MiB with an
+    # int64 row pointer, which scipy copied, and chunks of 2^20 states
+    # (Linux x86-64, Python 3.11, numpy 2.4, scipy 1.17, one BLAS thread)
+    code = (
+        "import hashlib\n"
+        "from ringgraphs import graphs, maps, spaces\n"
+        "family = maps.family_from_texts(spaces.parse_space('zn:4194304'), '2x,3x+1')\n"
+        "g = graphs.build_graph(family)\n"
+        "h = hashlib.sha256()\n"
+        "for a in (g.indptr, g.indices):\n"
+        "    h.update(a.astype('<i4', copy=False))\n"
+        "print(g.edge_count, h.hexdigest())\n"
+    )
+    got = run_under_rlimit(code, "RLIMIT_AS", 456 << 20)
+    assert got == f"8388605 {_BUILD_2_22_SHA256}\n"
 
 
 def test_components_hand_scipy_the_graph_arrays():

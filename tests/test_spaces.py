@@ -210,6 +210,24 @@ def test_residue_pack_marks_escapes(space):
     assert space.pack((residues,)).tolist() == want
 
 
+# n at both sides of the 64-bit word edges of the units rank lookup, a
+# prime, a prime power, and the product of the primes up to 13
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 1009, 3**7, 30030])
+def test_units_rank_lookup_matches_oracle(n):
+    space = ZnUnits(n)
+    want = []
+    for r in range(n):
+        try:  # a non-unit escapes
+            want.append(index_of(space, State(space, r)))
+        except ValueError:
+            want.append(-1)
+    assert (-1 in want) == (n > 1)
+    assert space.pack((np.arange(n, dtype=np.int64),)).tolist() == want
+    assert [int(space.pack((r,))) for r in range(n)] == want
+    members = space.digits(np.arange(space.size, dtype=np.int64))[0]
+    assert members.tolist() == [state_at(space, i).payload for i in range(space.size)]
+
+
 def test_units_equal_nonzero_for_primes():
     for p in (2, 3, 5, 7, 11, 13):
         units = [s.payload for s in enumerate_states(ZnUnits(p))]
