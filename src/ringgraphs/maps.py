@@ -391,15 +391,15 @@ def _mat_mul(x, y, n):
 
 
 def image_table(expr: MapExpr, space: StateSpace) -> np.ndarray:
-    """Image index for every state index; -1 where the image escapes the
+    """Image index (int32) of every state index; -1 where the image escapes the
     space (restricted residue subspaces only).  Tables are built in chunks
     of _TABLE_CHUNK states, so the columns stay bounded up to the cap.
     A map that does not act on the space is a ValueError."""
     _check_applicable(expr, space)
     size = space.size
     if isinstance(expr, Perm):
-        return rng.permutation_vector(size, expr.seed)
-    out = np.empty(size, dtype=np.int64)
+        return rng.shuffled_range(size, expr.seed)
+    out = np.empty(size, dtype=np.int32)
     for start in range(0, size, _TABLE_CHUNK):
         stop = min(start + _TABLE_CHUNK, size)
         x = space.digits(np.arange(start, stop, dtype=np.int64))
@@ -429,7 +429,10 @@ def _images(expr: MapExpr, space: StateSpace, x: tuple) -> tuple:
         # below n are cast (casting a float at or above 2^63 to int64 is
         # undefined).
         p = 1.0 + expr.epsilon
-        raw = np.floor(np.array([v**p for v in r.astype(np.float64).tolist()]))
+        try:
+            raw = np.floor(np.array([v**p for v in r.astype(np.float64).tolist()]))
+        except OverflowError:
+            raise OverflowError(f"{format_map(expr)!r} overflows a float") from None
         return ((np.fmod(raw, n).astype(np.int64) + expr.shift % n) % n,)
 
     n = space.radix

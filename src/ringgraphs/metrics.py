@@ -154,8 +154,7 @@ def _distance_scan(
     sampled = None
     sources = member
     if g.vertex_count > EXACT_BFS_LIMIT and m > SAMPLE_SOURCES:
-        pick = rng.shuffled_range(m, seed)[:SAMPLE_SOURCES]
-        sources = member[np.sort(np.array(pick))]
+        sources = member[np.sort(rng.shuffled_range(m, seed)[:SAMPLE_SOURCES])]
         sampled = len(sources)
     rank, blocks = _degree_slabs(g, member)
     sources = rank[sources]

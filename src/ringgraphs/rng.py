@@ -6,6 +6,8 @@ given seed produces the same values on every platform and Python build.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -44,13 +46,14 @@ class SeedStream:
                 return v % bound
 
 
-def shuffled_range(n: int, seed: int) -> list[int]:
+def shuffled_range(n: int, seed: int) -> np.ndarray:
     """Fisher-Yates shuffle of range(n), fully determined by the seed: step
-    i = n-1..1 swaps position i with SeedStream(seed).next_below(i + 1)."""
-    table = list(range(n))
+    i = n-1..1 swaps position i with SeedStream(seed).next_below(i + 1), in
+    a C int array (4 bytes a state) that the int32 result shares."""
+    table = array("i", range(n))
     for i, j in zip(range(n - 1, 0, -1), _swap_partners(n, seed)):
         table[i], table[j] = table[j], table[i]
-    return table
+    return np.frombuffer(table, dtype=np.intc)
 
 
 def _swap_partners(n: int, seed: int):
@@ -82,8 +85,3 @@ def _swap_partners(n: int, seed: int):
             yield stream.next_below(i + 1)
             state = stream.state
             i -= 1
-
-
-def permutation_vector(n: int, seed: int) -> np.ndarray:
-    """Image vector of the seeded permutation of {0..n-1}."""
-    return np.array(shuffled_range(n, seed), dtype=np.int64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import floor, gcd
 from typing import Any, Iterator
 
@@ -230,11 +231,10 @@ def _mat_pow(x, e: int, n):
 _MASK = (1 << 64) - 1
 
 
-def shuffled_range(n: int, seed: int) -> list[int]:
-    """Fisher-Yates shuffle of range(n): step i = n-1..1 swaps position i
-    with a uniform draw from [0, i] by rejection sampling on a splitmix64
-    stream started at the seed."""
-    table = list(range(n))
+def _shuffle_steps(n: int, seed: int) -> Iterator[tuple[int, int]]:
+    """The swaps (i, j) of a Fisher-Yates shuffle of range(n): step
+    i = n-1..1 swaps position i with a uniform draw j from [0, i] by
+    rejection sampling on a splitmix64 stream started at the seed."""
     state = seed & _MASK
     for i in range(n - 1, 0, -1):
         limit = (1 << 64) - (1 << 64) % (i + 1)
@@ -246,9 +246,28 @@ def shuffled_range(n: int, seed: int) -> list[int]:
             z ^= z >> 31
             if z < limit:
                 break
-        j = z % (i + 1)
+        yield i, z % (i + 1)
+
+
+def shuffled_range(n: int, seed: int) -> list[int]:
+    """The seeded Fisher-Yates shuffle of range(n), step by step."""
+    table = list(range(n))
+    for i, j in _shuffle_steps(n, seed):
         table[i], table[j] = table[j], table[i]
     return table
+
+
+def shuffled_top(n: int, seed: int, count: int) -> list[int]:
+    """shuffled_range(n, seed)[n - count:] (0 < count < n) from the first
+    count steps alone: no later step moves position i after step i.  Only
+    the positions those steps touched are held, so it serves where the
+    whole list of n ints would not fit."""
+    moved: dict[int, int] = {}
+    top = []
+    for i, j in islice(_shuffle_steps(n, seed), count):
+        top.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return top[::-1]
 
 
 @lru_cache(maxsize=8)

@@ -405,6 +405,16 @@ def test_gen_rejects_a_map_its_space_does_not_take(tmp_path, capsys, space, maps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_gen_reports_a_ws_image_past_the_largest_float(tmp_path, capsys, to_file):
+    # 999^1001 overflows a float: one error line naming the map, no output
+    out = tmp_path / "g.edges"
+    argv = ["gen", "--space", "zn:1000", "--maps", "ws:1000:0"]
+    assert run(argv + ["--out", str(out)] * to_file) == 1
+    assert capsys.readouterr() == ("", "error: 'ws:1000.0:0' overflows a float\n")
+    assert not out.exists()
+
+
 def test_locus_without_maps_is_an_error(capsys):
     assert run(["scan", "locus", "--nmax", "10"]) == 1
     assert capsys.readouterr().err == "error: locus scans need --maps\n"

@@ -29,7 +29,15 @@ from ringgraphs.maps import (
 from ringgraphs.spaces import BitVec, Mat2, PolyQuot, UpperTri2, Zn, ZnNonzero
 
 from conftest import run_under_rlimit
-from oracles import State, apply, ca_step, enumerate_states, index_of, state_at
+from oracles import (
+    State,
+    apply,
+    ca_step,
+    enumerate_states,
+    index_of,
+    shuffled_top,
+    state_at,
+)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -451,7 +459,7 @@ def chunk_edges(size: int) -> list[int]:
 def test_image_table_matches_oracle_on_drawn_states(space, exprs, data):
     expr = data.draw(exprs, label="map")
     table = image_table(expr, space)
-    assert table.dtype == np.int64 and table.shape == (space.size,)
+    assert table.dtype == np.int32 and table.shape == (space.size,)
     drawn = data.draw(
         st.lists(st.integers(0, space.size - 1), min_size=1, max_size=40), label="states"
     )
@@ -512,30 +520,39 @@ def test_image_table_rejects_inapplicable_maps(expr, space, message):
 
 
 # (space, map, address-space limit) at the 2^25-state cap: the chunked
-# build fits where whole-space columns did not.  The smallest limits the
-# digit-space and units cases ran under, with chunks of 2^18 states and the
-# units rank lookup, against chunks of 2^20 states and an index per
-# residue: mat2:76 501 against 620 MiB, ut2:322 494 against 588, poly:2:25
-# 567 against 886, bits:25 564 against 879, units:193993800 816 against
-# 1,463 (Linux x86-64, Python 3.11, numpy 2.4, scipy 1.17, one BLAS thread)
-_MIB, _GIB = 1 << 20, 1 << 30
+# build fits where whole-space columns did not, and int32 tables and
+# shuffles where int64 ones and a shuffled Python list did not.  The
+# smallest limits each case ran under, int32 against int64 tables: mat2:76
+# 373 against 501 MiB, ut2:322 364 against 494, poly:2:25 440 against 567,
+# bits:25 440 against 564, zn:33554432 345 against 471 (ws:0.5:1 359
+# against 485, perm:7 345 against more than 1,024), znz:33554432 345
+# against 471, units:193993800 695 against 816 (Linux x86-64, Python 3.11,
+# numpy 2.4, scipy 1.17, one BLAS thread)
+_MIB = 1 << 20
 _AT_CAP = [
-    pytest.param("mat2:76", "x^3+1", 576 * _MIB, id="mat2:76-x^3+1"),
-    pytest.param("ut2:322", "x^2", 560 * _MIB, id="ut2:322-x^2"),
-    pytest.param("poly:2:25", "square", 640 * _MIB, id="poly:2:25-square",
+    pytest.param("mat2:76", "x^3+1", 448 * _MIB, id="mat2:76-x^3+1"),
+    pytest.param("ut2:322", "x^2", 432 * _MIB, id="ut2:322-x^2"),
+    pytest.param("poly:2:25", "square", 512 * _MIB, id="poly:2:25-square",
                  marks=pytest.mark.slow),
-    pytest.param("bits:25", "ca:110", 640 * _MIB, id="bits:25-ca:110",
+    pytest.param("bits:25", "ca:110", 512 * _MIB, id="bits:25-ca:110",
                  marks=pytest.mark.slow),
-    pytest.param("zn:33554432", "x^3-5", _GIB, id="zn:33554432-x^3-5"),
-    pytest.param("zn:33554432", "2^x", _GIB, id="zn:33554432-2^x",
+    pytest.param("zn:33554432", "x^3-5", 416 * _MIB, id="zn:33554432-x^3-5"),
+    pytest.param("zn:33554432", "2^x", 416 * _MIB, id="zn:33554432-2^x",
                  marks=pytest.mark.slow),
-    pytest.param("zn:33554432", "sigma", _GIB, id="zn:33554432-sigma"),
-    pytest.param("zn:33554432", "ws:0.5:1", _GIB, id="zn:33554432-ws:0.5:1",
+    pytest.param("zn:33554432", "sigma", 416 * _MIB, id="zn:33554432-sigma"),
+    pytest.param("zn:33554432", "ws:0.5:1", 432 * _MIB, id="zn:33554432-ws:0.5:1",
                  marks=pytest.mark.slow),
-    pytest.param("znz:33554432", "x^2", _GIB, id="znz:33554432-x^2"),
+    pytest.param("zn:33554432", "perm:7", 416 * _MIB, id="zn:33554432-perm:7",
+                 marks=pytest.mark.slow),
+    pytest.param("znz:33554432", "x^2", 416 * _MIB, id="znz:33554432-x^2"),
     # phi(n) is under the cap, n is far above it
-    pytest.param("units:193993800", "x^2", _GIB, id="units:193993800-x^2"),
+    pytest.param("units:193993800", "x^2", 768 * _MIB, id="units:193993800-x^2"),
 ]
+
+
+# the top positions of a perm table checked at the cap: 64 more than the
+# 2^16 steps of one draw chunk of the shuffle
+_PERM_TOP = (1 << 16) + 64
 
 
 @pytest.mark.parametrize("space_text,map_text,limit", _AT_CAP)
@@ -543,18 +560,27 @@ def test_image_table_at_the_cap_fits_in_two_gib(space_text, map_text, limit):
     space = spaces.parse_space(space_text)
     expr = parse_map(map_text)
     assert space.size > (1 << 25) - (1 << 20)
-    picks = random.Random(space.size).sample(range(space.size), 24)
-    indices = sorted(set(chunk_edges(space.size) + picks))
+    if isinstance(expr, Perm):
+        # the oracle's whole shuffle is 2^25 Python-level steps on a list
+        # of 2^25 ints; its first steps alone fix the top positions
+        select = f"{space.size - _PERM_TOP}:"
+    else:
+        picks = random.Random(space.size).sample(range(space.size), 24)
+        indices = sorted(set(chunk_edges(space.size) + picks))
+        select = repr(indices)
     code = (
         "import json\n"
         "from ringgraphs import maps, spaces\n"
         f"space = spaces.parse_space({space_text!r})\n"
         f"table = maps.image_table(maps.parse_map({map_text!r}), space)\n"
         "assert table.shape == (space.size,)\n"
-        f"print(json.dumps(table[{indices!r}].tolist()))\n"
+        f"print(json.dumps(table[{select}].tolist()))\n"
     )
     got = json.loads(run_under_rlimit(code, "RLIMIT_AS", limit))
-    assert_matches_oracle(dict(zip(indices, got)), expr, space, indices)
+    if isinstance(expr, Perm):
+        assert got == shuffled_top(space.size, expr.seed, _PERM_TOP)
+    else:
+        assert_matches_oracle(dict(zip(indices, got)), expr, space, indices)
 
 
 def test_family_rejects_inapplicable_maps():

@@ -2,7 +2,7 @@ import pytest
 
 from ringgraphs import rng
 
-from oracles import shuffled_range
+from oracles import shuffled_range, shuffled_top
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -34,14 +34,14 @@ def seed_with_top_draw(t: int) -> int:
 @pytest.mark.parametrize("seed", [0, 1, 5, 2**63 + 12345, MASK, -3])
 def test_shuffle_matches_the_one_draw_at_a_time_oracle(seed):
     for n in list(range(70)) + [1000, 4097]:
-        assert rng.shuffled_range(n, seed) == shuffled_range(n, seed), n
+        assert rng.shuffled_range(n, seed).tolist() == shuffled_range(n, seed), n
 
 
 def test_shuffle_across_draw_chunks(monkeypatch):
     monkeypatch.setattr(rng, "_DRAW_CHUNK", 7)
     for seed in (0, 9):
         for n in (2, 7, 8, 9, 15, 100):
-            assert rng.shuffled_range(n, seed) == shuffled_range(n, seed), n
+            assert rng.shuffled_range(n, seed).tolist() == shuffled_range(n, seed), n
 
 
 @pytest.mark.parametrize("t", [1, 2, 7, 8, 9, 40])
@@ -54,6 +54,16 @@ def test_shuffle_redraws_a_rejected_draw(monkeypatch, t):
     assert [stream.next_u64() for _ in range(t)][-1] == MASK
     n = 101  # bound 101 - t + 1 is no power of two at any t here
     want = shuffled_range(n, seed)
-    assert rng.shuffled_range(n, seed) == want
+    assert rng.shuffled_range(n, seed).tolist() == want
     monkeypatch.setattr(rng, "_DRAW_CHUNK", 7)
-    assert rng.shuffled_range(n, seed) == want
+    assert rng.shuffled_range(n, seed).tolist() == want
+
+
+def test_shuffle_top_across_the_real_draw_chunk():
+    # the oracle's sparse route to the top positions, which the at-cap perm
+    # table is checked against, over more steps than one draw chunk
+    n, count = 70001, rng._DRAW_CHUNK + 64
+    for seed in (7, 2**64 - 1):
+        want = shuffled_top(n, seed, count)
+        assert rng.shuffled_range(n, seed)[n - count :].tolist() == want
+        assert shuffled_range(n, seed)[n - count :] == want
