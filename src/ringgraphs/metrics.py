@@ -3,15 +3,23 @@ clustering, triangles, Euler characteristic, degrees.
 
 Path statistics are computed over the largest component, of m vertices, by
 a bit-parallel BFS: 512 sources per pass, one bit each in 8 uint64 words
-per vertex.  The vertices are relabelled once per graph into degree slabs,
-each slab's neighbour lists a column-major table of one padded width, cut
-into blocks of at most _SLAB_ENTRIES entries.  A level gathers each block's
-frontier rows and ORs them over the width into its slice of the next
-frontier, so a pass holds three (m+1) x 8-word arrays (frontier, next
-frontier, unseen) and one gathered block, and the int32 tables, shared by
-every pass, hold at most twice the CSR entries.  The scan is exact, all
-sources, up to 2^16 vertices; above that a seeded sample of 2048 sources is
-used and the sample size is recorded in the report.
+per vertex.  The BFS runs over the graph of representatives: the vertices
+with equal neighbour lists (twins, grouped by a row hash and confirmed entry
+by entry) form Q classes, and the subgraph induced on one vertex per class
+keeps every distance between classes.  The sources are the distinct classes
+of the source set, each weighted by the sources it holds, with the sources
+of one weight in words of their own; a distance counts its source's weight
+times its target's class size, and each ordered pair inside one class adds
+2, so the integer distance total is the one over every vertex.  The Q rows
+are relabelled once per graph into degree slabs, each slab's neighbour
+lists a column-major table of one padded width, cut into blocks of at most
+_SLAB_ENTRIES entries.  A level gathers each block's frontier rows and ORs
+them over the width into its slice of the next frontier, so a pass holds
+three (Q+1) x 8-word arrays (frontier, next frontier, unseen) and one
+gathered block, and the int32 tables, shared by every pass, hold at most
+twice the CSR entries.  The scan is exact, all sources, up to 2^16
+vertices; above that a seeded sample of 2048 sources is used and the sample
+size is recorded in the report.
 
 Triangles come from the forward algorithm.  Each edge is kept once, as the
 CSR entry out of its end of lower (degree, index) rank: a filter of the
@@ -72,8 +80,9 @@ class StatsReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _as_sparse(g: SimpleGraph) -> csr_matrix:
-    data = np.ones(len(g.indices))  # float64, which scipy would otherwise copy to cast
+def _as_sparse(g: SimpleGraph, dtype=np.float64) -> csr_matrix:
+    # float64 by default, which scipy's graph routines would otherwise copy to cast
+    data = np.ones(len(g.indices), dtype=dtype)
     return csr_matrix(
         (data, g.indices, g.indptr), shape=(g.vertex_count, g.vertex_count)
     )
@@ -134,17 +143,30 @@ def _block_counts(chunk: list) -> np.ndarray:
 
 
 def _largest_component(g: SimpleGraph, labels: np.ndarray | None = None) -> np.ndarray:
-    """Vertex indices of the largest component (smallest label wins ties)."""
+    """Vertex indices of the largest component (smallest label wins ties),
+    ascending, as int32."""
     if labels is None:
         _, labels = components(g)
     sizes = np.bincount(labels)
-    return np.nonzero(labels == int(np.argmax(sizes)))[0]
+    return np.flatnonzero(labels == int(np.argmax(sizes))).astype(np.int32)
 
 
 def _distance_scan(
     g: SimpleGraph, seed: int = 0, labels: np.ndarray | None = None
 ) -> tuple[int, float | None, int | None]:
-    """(diameter, mu, sampled_sources) over the largest component."""
+    """(diameter, mu, sampled_sources) over the largest component.
+
+    The BFS runs over the graph of representatives (_representatives): one
+    vertex per twin class, the vertices of the component with equal
+    neighbour lists.  Twins are never adjacent and classes are adjacent all
+    or nothing, so distances between classes are the component's, and a
+    class member has its representative's distance sum and eccentricity.
+    The sources become their distinct classes, each weighted by the sources
+    it holds, and the targets are weighted by class size.  Each source is 2
+    from every other member of its class, which adds 2 per such pair and
+    raises its eccentricity to 2 when its class has more than one member.
+    The integer distance total is the one over every vertex.
+    """
     if g.vertex_count == 0:
         raise ValueError("distance statistics need at least one vertex")
     member = _largest_component(g, labels)
@@ -156,67 +178,182 @@ def _distance_scan(
     if g.vertex_count > EXACT_BFS_LIMIT and m > SAMPLE_SOURCES:
         sources = member[np.sort(rng.shuffled_range(m, seed)[:SAMPLE_SOURCES])]
         sampled = len(sources)
-    rank, blocks = _degree_slabs(g, member)
-    sources = rank[sources]
-    diameter = 0
-    total = 0
-    for start in range(0, len(sources), _BFS_SOURCES):
-        ecc, dist_sum = _bfs_pass(blocks, m, sources[start : start + _BFS_SOURCES])
+    cls, size, rank, blocks = _representatives(g, member)
+    src, weight = np.unique(cls[sources], return_counts=True)
+    total = 2 * int((weight * (size[src] - 1)).sum())
+    diameter = 2 if (size[src] > 1).any() else 0
+    targets = _runs(size[np.argsort(rank)])  # the rows by new label
+    del cls, size  # not held through the passes
+    src, slot, word_weight = _weighted_slots(rank[src], weight)
+    for start in range(0, 64 * len(word_weight), _BFS_SOURCES):
+        lo, hi = np.searchsorted(slot, [start, start + _BFS_SOURCES]).tolist()
+        ecc, dist_sum = _bfs_pass(
+            blocks,
+            targets,
+            src[lo:hi],
+            slot[lo:hi] - start,
+            word_weight[start // 64 : (start + _BFS_SOURCES) // 64],
+        )
         diameter = max(diameter, ecc)
         total += dist_sum
     mu = total / (len(sources) * (m - 1))
     return diameter, mu, sampled
 
 
-def _degree_slabs(g: SimpleGraph, member: np.ndarray) -> tuple[np.ndarray, list]:
-    """(rank, blocks): the vertices of member relabelled 0..m-1 in order of
-    padded degree width, and their neighbour lists in blocks (lo, hi, table).
+def _row_hashes(g: SimpleGraph) -> np.ndarray:
+    """A uint64 hash of each vertex's neighbour list: the wrapping sum of
+    rng.first_draws over its CSR row, taken over row blocks."""
+    hashes = np.empty(g.vertex_count, dtype=np.uint64)
+    for start, stop in row_blocks(g.indptr):
+        base = g.indptr[start]
+        nbr = g.indices[base : g.indptr[stop]].astype(np.uint64)
+        ends = np.zeros(len(nbr) + 1, dtype=np.uint64)
+        np.cumsum(rng.first_draws(nbr), out=ends[1:])
+        bounds = g.indptr[start : stop + 1] - base
+        hashes[start:stop] = ends[bounds[1:]] - ends[bounds[:-1]]
+    return hashes
 
-    rank[v] is the new label of a member v.  A vertex's width is its degree
-    up to 16, else the next power of two, so there are few distinct widths.
-    The new labels lo..hi-1 of a block share one width w, and table is the
+
+def _rows_equal(g: SimpleGraph, a: np.ndarray, b: np.ndarray, check: np.ndarray):
+    """Whether the CSR rows of a[i] and b[i] are equal, entry by entry, at
+    each i where check[i]; False elsewhere."""
+    deg = g.degrees()
+    equal = check & (deg[a] == deg[b])
+    pairs = np.flatnonzero(equal)
+    for item, j in _segment_pairs(deg[a[pairs]]):
+        p = pairs[item]
+        differ = g.indices[g.indptr[a[p]] + j] != g.indices[g.indptr[b[p]] + j]
+        equal[p[differ]] = False
+    return equal
+
+
+def _twin_classes(g: SimpleGraph, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex, first): member reordered so that each class of vertices with
+    equal CSR rows is one run, and first[i] true where a run starts.
+
+    The vertices are sorted by _row_hashes, and each one joins the run of
+    the one before it only if their rows are equal entry by entry.  A run
+    of equal hashes whose rows are not all equal (a collision) is sorted
+    by its rows' entries before it is checked again."""
+    hashes = _row_hashes(g)[member]
+    order = np.argsort(hashes)
+    vertex, hashes = member[order], hashes[order]
+    same_hash = hashes[1:] == hashes[:-1]
+    same = _rows_equal(g, vertex[:-1], vertex[1:], same_hash)
+    clash = same_hash & ~same
+    if clash.any():
+        run = np.cumsum(np.r_[True, ~same_hash])
+        row = lambda v: g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
+        for r in np.unique(run[1:][clash]).tolist():
+            lo, hi = np.searchsorted(run, [r, r + 1]).tolist()
+            vertex[lo:hi] = sorted(vertex[lo:hi].tolist(), key=row)
+        same = _rows_equal(g, vertex[:-1], vertex[1:], same_hash)
+    return vertex, np.concatenate(([True], ~same))
+
+
+def _representatives(g: SimpleGraph, member: np.ndarray):
+    """(cls, size, rank, blocks): the twin classes of member, and the
+    _degree_slabs of the graph they induce through one representative each.
+
+    cls[v] is the class 0..Q-1 of a member v and size[c] the number of
+    members of class c.  The classes are numbered in the order of their
+    representatives, the first vertex of each run of _twin_classes, which
+    keeps the locality of the vertex order in the slabs."""
+    vertex, first = _twin_classes(g, member)
+    # int32 and in place: what this builds and frees stays on the heap of
+    # the allocator through the passes
+    is_rep = np.zeros(g.vertex_count, dtype=bool)
+    is_rep[vertex[first]] = True
+    reps = np.flatnonzero(is_rep).astype(np.int32)
+    label = np.cumsum(is_rep, dtype=np.int32)
+    label -= 1
+    cls = np.empty(g.vertex_count, dtype=np.int32)  # read at members only
+    run = np.cumsum(first, dtype=np.int32)
+    run -= 1
+    cls[vertex] = label[vertex[first]][run]
+    del label, run, vertex, first, is_rep
+    size = np.bincount(cls[member])
+    induced = _as_sparse(g, np.int8)[reps][:, reps]
+    return cls, size, *_degree_slabs(induced.indptr, induced.indices, size)
+
+
+def _degree_slabs(
+    indptr: np.ndarray, indices: np.ndarray, size: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """(rank, blocks): the Q rows of a CSR whose every row has an entry,
+    relabelled 0..Q-1 in order of padded degree width and then of size,
+    and their neighbour lists in blocks (lo, hi, table).
+
+    rank[c] is the new label of row c.  A row's width is its degree up to
+    16, else the next power of two, so there are few distinct widths.  The
+    new labels lo..hi-1 of a block share one width w, and table is the
     (w, hi - lo) int32 array whose column r lists the new labels of the
-    neighbours of lo + r, padded with m.  A block holds at most
+    neighbours of lo + r, padded with Q.  A block holds at most
     _SLAB_ENTRIES entries, or one column if w is wider.
     """
-    m = len(member)
-    deg = np.diff(g.indptr)[member]
+    q = len(size)
+    deg = np.diff(indptr)
     # frexp(d - 1)[1] is the bit length of d - 1
     width = np.where(deg <= 16, deg, 1 << np.frexp(deg - 1)[1])
-    order = np.argsort(width, kind="stable")
-    old, deg, width = member[order], deg[order], width[order]  # by new label
-    rank = np.empty(g.vertex_count, dtype=np.int32)  # read at members only
-    rank[old] = np.arange(m, dtype=np.int32)
+    order = np.lexsort((size, width))
+    deg, width = deg[order], width[order]  # by new label
+    rank = np.empty(q, dtype=np.int32)
+    rank[order] = np.arange(q, dtype=np.int32)
     cuts = np.flatnonzero(np.diff(width)) + 1
     blocks = []
-    for first, last in zip(np.r_[0, cuts].tolist(), np.r_[cuts, m].tolist()):
+    for first, last in zip(np.r_[0, cuts].tolist(), np.r_[cuts, q].tolist()):
         w = int(width[first])
         step = max(1, _SLAB_ENTRIES // w)
         for lo in range(first, last, step):
             hi = min(lo + step, last)
             row = np.arange(w)[:, None]
             inside = row < deg[lo:hi]
-            pos = g.indptr[old[lo:hi]] + row
-            table = np.full((w, hi - lo), m, dtype=np.int32)
-            table[inside] = rank[g.indices[pos[inside]]]
+            pos = indptr[order[lo:hi]] + row
+            table = np.full((w, hi - lo), q, dtype=np.int32)
+            table[inside] = rank[indices[pos[inside]]]
             blocks.append((lo, hi, table))
     return rank, blocks
 
 
-def _bfs_pass(blocks: list, m: int, sources: np.ndarray) -> tuple[int, int]:
-    """(largest eccentricity, sum of distances) over distinct sources, given
-    by their new labels in the slabs of _degree_slabs, as one bit-parallel
-    BFS over the m relabelled vertices.
+def _runs(values: np.ndarray) -> list[tuple[int, int, int]]:
+    """(lo, hi, value) of each run of equal entries of values."""
+    bounds = [0, *(np.flatnonzero(np.diff(values)) + 1).tolist(), len(values)]
+    return [(lo, hi, int(values[lo])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    Source i owns bit i % 64 of word i // 64 in every vertex's row.  Row m
-    of both frontier buffers stays zero, so a padded table entry adds
-    nothing, and a level gathers each block's rows and ORs them over the
-    table's width straight into its slice of the next frontier.
+
+def _weighted_slots(sources: np.ndarray, weight: np.ndarray):
+    """(sources, slot, word_weight): the sources in order of weight, the
+    BFS bit slot of each, ascending, and the weight of each 64-slot word.
+
+    The sources of one weight fill whole words from a word of their own,
+    so that every word holds sources of one weight."""
+    order = np.argsort(weight, kind="stable")
+    slot = np.empty(len(order), dtype=np.int64)
+    word_weight = []
+    for lo, hi, w in _runs(weight[order]):
+        slot[lo:hi] = 64 * len(word_weight) + np.arange(hi - lo)
+        word_weight += [w] * -(-(hi - lo) // 64)
+    return sources[order], slot, np.array(word_weight)
+
+
+def _bfs_pass(
+    blocks: list, targets: list, sources: np.ndarray, slot: np.ndarray, word_weight
+) -> tuple[int, int]:
+    """(largest eccentricity, weighted sum of distances) over distinct
+    sources, given by their new labels in the slabs of _degree_slabs, as one
+    bit-parallel BFS over the Q relabelled rows.
+
+    Source i owns bit slot[i] % 64 of word slot[i] // 64 in every row.  A
+    distance counts the weight of its source's word times the size of the
+    target's run (lo, hi, size) in targets.  Row Q of both frontier buffers
+    stays zero, so a padded table entry adds nothing, and a level gathers
+    each block's rows and ORs them over the table's width straight into
+    its slice of the next frontier.
     """
-    words = -(-len(sources) // 64)
-    frontier = np.zeros((m + 1, words), dtype=np.uint64)
-    slot = np.arange(len(sources))
+    q = targets[-1][1]
+    frontier = np.zeros((q + 1, len(word_weight)), dtype=np.uint64)
     frontier[sources, slot // 64] = np.uint64(1) << (slot % 64).astype(np.uint64)
+    words = _runs(word_weight)
     unseen = ~frontier
     reached = np.zeros_like(frontier)
     level = total = 0
@@ -225,13 +362,24 @@ def _bfs_pass(blocks: list, m: int, sources: np.ndarray) -> tuple[int, int]:
             gathered = np.take(frontier, table, axis=0)
             np.bitwise_or.reduce(gathered, axis=0, out=reached[lo:hi])
         reached &= unseen
-        count = int(np.bitwise_count(reached).sum(dtype=np.int64))
+        count = _weighted_count(reached, targets, words)
         if count == 0:
             return level, total
         level += 1
         total += level * count
         unseen ^= reached
         frontier, reached = reached, frontier
+
+
+def _weighted_count(bits: np.ndarray, rows: list, words: list) -> int:
+    """The set bits of bits, each counted as the value of its row's run
+    (lo, hi, value) in rows times that of its word's run in words."""
+    found = np.bitwise_count(bits)
+    return sum(
+        size * weight * int(found[lo:hi, a:b].sum(dtype=np.int64))
+        for lo, hi, size in rows
+        for a, b, weight in words
+    )
 
 
 def _oriented(g: SimpleGraph):

@@ -46,6 +46,15 @@ class SeedStream:
                 return v % bound
 
 
+def first_draws(seeds: np.ndarray) -> np.ndarray:
+    """SeedStream(s).next_u64() for each uint64 seed s, in numpy arithmetic,
+    which wraps like the masked Python."""
+    z = seeds + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def shuffled_range(n: int, seed: int) -> np.ndarray:
     """Fisher-Yates shuffle of range(n), fully determined by the seed: step
     i = n-1..1 swaps position i with SeedStream(seed).next_below(i + 1), in
@@ -61,18 +70,14 @@ def _swap_partners(n: int, seed: int):
 
     splitmix64 is counter based: t draws after state s, the state is
     s + t * _GOLDEN.  So the draws of up to _DRAW_CHUNK steps are mixed at
-    once in uint64 numpy arithmetic, which wraps like the masked Python.
-    They stand up to the first draw that next_below would reject; that
+    once, by first_draws of the states they follow.  They stand up to the first draw that next_below would reject; that
     step is then drawn by SeedStream itself, and the next chunk starts
     from the state it leaves."""
     state = seed & _MASK
     i = n - 1
     while i > 0:
         k = min(i, _DRAW_CHUNK)
-        z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(state)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+        z = first_draws(np.arange(k, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(state))
         bound = np.arange(i + 1, i + 1 - k, -1, dtype=np.uint64)
         spill = (np.uint64(0) - bound) % bound  # 2^64 mod bound
         rejected = np.flatnonzero((spill != 0) & (z >= np.uint64(0) - spill))

@@ -350,6 +350,15 @@ def neighbor_array(g: SimpleGraph, v: int):
     return g.indices[g.indptr[v] : g.indptr[v + 1]]
 
 
+def twin_classes(g: SimpleGraph, vertices) -> list[list[int]]:
+    """The given vertices grouped by equal neighbour lists, each group
+    ascending and the groups in order of their smallest vertex."""
+    groups: dict[tuple, list[int]] = {}
+    for v in vertices:
+        groups.setdefault(tuple(neighbor_array(g, v).tolist()), []).append(int(v))
+    return sorted(sorted(group) for group in groups.values())
+
+
 class UnionFind:
     """Plain union-find with path halving: the second route for component
     counting."""

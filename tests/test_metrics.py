@@ -37,7 +37,7 @@ from conftest import (
     loop_edge_triangle_counts,
     run_under_rlimit,
 )
-from oracles import UnionFind, neighbor_array, shuffled_range
+from oracles import UnionFind, neighbor_array, shuffled_range, twin_classes
 
 
 def path3():
@@ -313,16 +313,27 @@ def slab_width(degree: int) -> int:
     return degree if degree <= 16 else 1 << (degree - 1).bit_length()
 
 
+def component_graph(g):
+    """The largest component of g as a graph of its own, its vertices
+    relabelled 0..m-1 in order."""
+    member = metrics._largest_component(g)
+    pos = np.full(g.vertex_count, -1)
+    pos[member] = np.arange(len(member))
+    us, vs = g.edge_arrays()
+    inside = pos[us] >= 0
+    return graph_from_edges(len(member), pos[us[inside]], pos[vs[inside]])
+
+
 @pytest.mark.parametrize("entries", [1, 7, metrics._SLAB_ENTRIES])
 def test_degree_slabs_hold_every_neighbour_list(monkeypatch, entries):
     monkeypatch.setattr(metrics, "_SLAB_ENTRIES", entries)
-    g = hub_graph(300, seed=1)
-    member = metrics._largest_component(g)
-    m = len(member)
-    rank, blocks = metrics._degree_slabs(g, member)
+    g = component_graph(hub_graph(300, seed=1))
+    m = g.vertex_count
+    size = np.random.default_rng(1).integers(1, 4, m)
+    rank, blocks = metrics._degree_slabs(g.indptr, g.indices, size)
     old = np.empty(m, dtype=np.int64)
-    old[rank[member]] = member
-    assert sorted(old.tolist()) == member.tolist()
+    old[rank] = np.arange(m)
+    assert sorted(old.tolist()) == list(range(m))
     rows = []
     for lo, hi, table in blocks:
         width = table.shape[0]
@@ -337,6 +348,9 @@ def test_degree_slabs_hold_every_neighbour_list(monkeypatch, entries):
     assert rows == list(range(m))
     widths = [table.shape[0] for _, _, table in blocks]
     assert widths == sorted(widths) and {32, 64} <= set(widths)
+    # by new label, in order of width and then of size
+    keys = [(slab_width(len(neighbor_array(g, v))), size[v]) for v in old]
+    assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("entries", [1, 7])
@@ -355,6 +369,121 @@ def test_distance_kernel_with_hubs_and_small_blocks(monkeypatch, entries):
         diameter, mu, sampled = metrics._distance_scan(g, seed=3)
         assert sampled == sources
         assert (diameter, mu) == dijkstra_scan(g, seeded)
+
+
+# -- twin classes: vertices with equal neighbour lists --------------------------
+
+
+def complete_bipartite(a: int, b: int):
+    return graph_from_edges(a + b, *zip(*[(u, a + v) for u in range(a) for v in range(b)]))
+
+
+def planted_twins(size: int, seed: int):
+    """scattered_graph with twins planted in its largest component: new
+    vertices given the neighbour list of an old one, up to 30 at a time."""
+    g = scattered_graph(size, seed)
+    member = metrics._largest_component(g)
+    r = np.random.default_rng(seed)
+    us, vs = g.edge_arrays()
+    us, vs = [us], [vs]
+    n = g.vertex_count
+    for v in r.choice(member, max(1, size // 8), replace=False).tolist():
+        nbrs = neighbor_array(g, v)
+        for _ in range(int(r.integers(1, 31))):
+            us.append(np.full(len(nbrs), n))
+            vs.append(nbrs)
+            n += 1
+    return graph_from_edges(n, np.concatenate(us), np.concatenate(vs))
+
+
+def twin_cases():
+    return [
+        ("K3,5", complete_bipartite(3, 5)),
+        ("star", star4()),
+        ("path", path3()),
+        ("zn:600", build_graph(family_from_texts(parse_space("zn:600"), "x^2+1,x^2+2"))),
+        ("hubs", hub_graph(300, seed=1)),
+    ] + [(f"planted{seed}", planted_twins(100 + 40 * seed, seed)) for seed in range(6)]
+
+
+def kernel_twin_classes(g):
+    """The classes of _representatives, as oracles.twin_classes gives them."""
+    member = metrics._largest_component(g)
+    cls, size, _, _ = metrics._representatives(g, member)
+    groups = {}
+    for v in member.tolist():
+        groups.setdefault(int(cls[v]), []).append(v)
+    assert sorted(groups) == list(range(len(size)))
+    assert [len(groups[c]) for c in range(len(size))] == size.tolist()
+    return sorted(groups.values())
+
+
+def constant_hashes(g):
+    return np.zeros(g.vertex_count, dtype=np.uint64)
+
+
+def degree_hashes(g):
+    return g.degrees().astype(np.uint64)
+
+
+@pytest.mark.parametrize("hashes", [None, constant_hashes, degree_hashes])
+def test_twin_classes_match_python_grouping(monkeypatch, hashes):
+    # with the hash patched, rows of different lists collide, and only the
+    # entry-by-entry check may tell them apart
+    if hashes is not None:
+        monkeypatch.setattr(metrics, "_row_hashes", hashes)
+    for name, g in twin_cases():
+        member = metrics._largest_component(g)
+        classes = twin_classes(g, member)
+        assert kernel_twin_classes(g) == classes, name
+        if hashes is not None:
+            assert metrics._distance_scan(g)[:2] == dijkstra_scan(g, member), name
+
+
+def test_twin_classes_are_planted():
+    # the cases hold classes of many sizes; on zn:600, 65 of the 195
+    # classes have more than one member, such as the multiples of 60
+    sizes = {len(c) for _, g in twin_cases() for c in kernel_twin_classes(g)}
+    assert {1, 2, 3, 5} <= sizes and max(sizes) > 20
+    classes = kernel_twin_classes(dict(twin_cases())["zn:600"])
+    assert len(classes) == 195 and sum(len(c) > 1 for c in classes) == 65
+    assert list(range(0, 600, 60)) in classes
+
+
+def test_twins_are_two_apart():
+    # the graph of representatives is one edge, of diameter 1
+    g = complete_bipartite(3, 5)
+    assert metrics._distance_scan(g) == (2, (2 * 3 * 2 + 2 * 5 * 4 + 2 * 15) / (8 * 7), None)
+    assert metrics._distance_scan(g)[:2] == dijkstra_scan(g, range(8))
+    assert metrics._distance_scan(star4()) == (2, (3 + 3 + 3 * 2 * 2) / (4 * 3), None)
+    assert metrics._distance_scan(star4())[:2] == dijkstra_scan(star4(), range(4))
+    # a and c are twins, b alone: mu = (1 + 1 + 2 + 1 + 2 + 1) / 6
+    assert metrics._distance_scan(path3()) == (2, 4 / 3, None)
+    assert metrics._distance_scan(path3())[:2] == dijkstra_scan(path3(), range(3))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in twin_cases()])
+def test_distance_kernel_with_twins_matches_dijkstra(name):
+    g = dict(twin_cases())[name]
+    member = metrics._largest_component(g)
+    assert metrics._distance_scan(g) == (*dijkstra_scan(g, member), None)
+
+
+@pytest.mark.parametrize("sources", [1, 40, 64, 65, 513])
+def test_sampled_twins_share_a_class(monkeypatch, sources):
+    # sampled sources that fall in one class are one BFS source of that
+    # weight, in a word of sources of that weight
+    monkeypatch.setattr(metrics, "EXACT_BFS_LIMIT", 64)
+    monkeypatch.setattr(metrics, "SAMPLE_SOURCES", sources)
+    g = planted_twins(1500, seed=sources)
+    member = metrics._largest_component(g)
+    seeded = member[np.sort(shuffled_range(len(member), 3)[:sources])]
+    diameter, mu, sampled = metrics._distance_scan(g, seed=3)
+    assert sampled == sources
+    assert (diameter, mu) == dijkstra_scan(g, seeded)
+    if sources > 1:
+        cls, _, _, _ = metrics._representatives(g, member)
+        assert np.bincount(cls[seeded]).max() > 1
 
 
 # full_report of x^2+1,x^2+2 on zn:2^17, the same before and after the
