@@ -4,22 +4,23 @@ clustering, triangles, Euler characteristic, degrees.
 Path statistics are computed over the largest component, of m vertices, by
 a bit-parallel BFS: 512 sources per pass, one bit each in 8 uint64 words
 per vertex.  The BFS runs over the graph of representatives: the vertices
-with equal neighbour lists (twins, grouped by a row hash and confirmed entry
-by entry) form Q classes, and the subgraph induced on one vertex per class
-keeps every distance between classes.  The sources are the distinct classes
-of the source set, each weighted by the sources it holds, with the sources
-of one weight in words of their own; a distance counts its source's weight
-times its target's class size, and each ordered pair inside one class adds
-2, so the integer distance total is the one over every vertex.  The Q rows
-are relabelled once per graph into degree slabs, each slab's neighbour
-lists a column-major table of one padded width, cut into blocks of at most
-_SLAB_ENTRIES entries.  A level gathers each block's frontier rows and ORs
-them over the width into its slice of the next frontier, so a pass holds
-three (Q+1) x 8-word arrays (frontier, next frontier, unseen) and one
-gathered block, and the int32 tables, shared by every pass, hold at most
-twice the CSR entries.  The scan is exact, all sources, up to 2^16
-vertices; above that a seeded sample of 2048 sources is used and the sample
-size is recorded in the report.
+with equal neighbour lists (twins, grouped by a row hash and confirmed
+entry by entry) form Q classes, and the subgraph induced on one vertex per
+class keeps every distance between classes.  A hash collision can only
+split one set of twins over more classes, and that changes no distance.
+The sources are the distinct classes of the source set, each weighted by
+the sources it holds, with the sources of one weight in words of their own;
+a distance counts its source's weight times its target's class size, and
+each ordered pair inside one class adds 2, so the integer distance total is
+the one over every vertex.  The Q rows are relabelled once per graph into
+degree slabs, each slab's neighbour lists a column-major table of one
+padded width, cut into blocks of at most _SLAB_ENTRIES entries.  A level
+gathers each block's frontier rows and ORs them over the width into its
+slice of the next frontier, so a pass holds three (Q+1) x 8-word arrays
+(frontier, next frontier, unseen) and one gathered block, and the int32
+tables, shared by every pass, hold at most twice the CSR entries.  The scan
+is exact, all sources, up to 2^16 vertices; above that a seeded sample of
+2048 sources is used and the sample size is recorded in the report.
 
 Triangles come from the forward algorithm.  Each edge is kept once, as the
 CSR entry out of its end of lower (degree, index) rank: a filter of the
@@ -165,7 +166,9 @@ def _distance_scan(
     it holds, and the targets are weighted by class size.  Each source is 2
     from every other member of its class, which adds 2 per such pair and
     raises its eccentricity to 2 when its class has more than one member.
-    The integer distance total is the one over every vertex.
+    Twins split over several classes by a hash collision are representatives
+    2 apart, which counts them the same.  The integer distance total is the
+    one over every vertex.
     """
     if g.vertex_count == 0:
         raise ValueError("distance statistics need at least one vertex")
@@ -214,51 +217,40 @@ def _row_hashes(g: SimpleGraph) -> np.ndarray:
     return hashes
 
 
-def _rows_equal(g: SimpleGraph, a: np.ndarray, b: np.ndarray, check: np.ndarray):
-    """Whether the CSR rows of a[i] and b[i] are equal, entry by entry, at
-    each i where check[i]; False elsewhere."""
-    deg = g.degrees()
-    equal = check & (deg[a] == deg[b])
-    pairs = np.flatnonzero(equal)
-    for item, j in _segment_pairs(deg[a[pairs]]):
-        p = pairs[item]
-        differ = g.indices[g.indptr[a[p]] + j] != g.indices[g.indptr[b[p]] + j]
-        equal[p[differ]] = False
-    return equal
-
-
 def _twin_classes(g: SimpleGraph, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(vertex, first): member reordered so that each class of vertices with
-    equal CSR rows is one run, and first[i] true where a run starts.
+    """(vertex, first): member sorted by _row_hashes, and first[i] true
+    where vertex[i] starts a class, a run of twins.
 
-    The vertices are sorted by _row_hashes, and each one joins the run of
-    the one before it only if their rows are equal entry by entry.  A run
-    of equal hashes whose rows are not all equal (a collision) is sorted
-    by its rows' entries before it is checked again."""
+    A vertex joins the class of the one before it only if the two have the
+    same hash, the same degree and CSR rows equal entry by entry, so every
+    class holds twins only.  A hash collision can only split one set of
+    twins over several classes, which changes no distance (_distance_scan).
+    """
     hashes = _row_hashes(g)[member]
     order = np.argsort(hashes)
     vertex, hashes = member[order], hashes[order]
-    same_hash = hashes[1:] == hashes[:-1]
-    same = _rows_equal(g, vertex[:-1], vertex[1:], same_hash)
-    clash = same_hash & ~same
-    if clash.any():
-        run = np.cumsum(np.r_[True, ~same_hash])
-        row = lambda v: g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
-        for r in np.unique(run[1:][clash]).tolist():
-            lo, hi = np.searchsorted(run, [r, r + 1]).tolist()
-            vertex[lo:hi] = sorted(vertex[lo:hi].tolist(), key=row)
-        same = _rows_equal(g, vertex[:-1], vertex[1:], same_hash)
+    deg = g.degrees()
+    a, b = vertex[:-1], vertex[1:]
+    same = (hashes[1:] == hashes[:-1]) & (deg[a] == deg[b])
+    pairs = np.flatnonzero(same)
+    for item, j in _segment_pairs(deg[a[pairs]]):
+        p = pairs[item]
+        differ = g.indices[g.indptr[a[p]] + j] != g.indices[g.indptr[b[p]] + j]
+        same[p[differ]] = False
+    del deg  # before the result is built: the allocator's heap stays lower
     return vertex, np.concatenate(([True], ~same))
 
 
 def _representatives(g: SimpleGraph, member: np.ndarray):
-    """(cls, size, rank, blocks): the twin classes of member, and the
-    _degree_slabs of the graph they induce through one representative each.
+    """(cls, size, rank, blocks): the classes of member by _twin_classes,
+    and the _degree_slabs of the graph they induce through one
+    representative each.
 
     cls[v] is the class 0..Q-1 of a member v and size[c] the number of
-    members of class c.  The classes are numbered in the order of their
-    representatives, the first vertex of each run of _twin_classes, which
-    keeps the locality of the vertex order in the slabs."""
+    members of class c.  Each class holds twins only, though one set of
+    twins may span several classes.  The classes are numbered in the order
+    of their representatives, the first vertex of each run of _twin_classes,
+    which keeps the locality of the vertex order in the slabs."""
     vertex, first = _twin_classes(g, member)
     # int32 and in place: what this builds and frees stays on the heap of
     # the allocator through the passes

@@ -70,9 +70,9 @@ def _swap_partners(n: int, seed: int):
 
     splitmix64 is counter based: t draws after state s, the state is
     s + t * _GOLDEN.  So the draws of up to _DRAW_CHUNK steps are mixed at
-    once, by first_draws of the states they follow.  They stand up to the first draw that next_below would reject; that
-    step is then drawn by SeedStream itself, and the next chunk starts
-    from the state it leaves."""
+    once, by first_draws of the states they follow.  They stand up to the
+    first draw that next_below would reject; that step is then drawn by
+    SeedStream itself, and the next chunk starts from the state it leaves."""
     state = seed & _MASK
     i = n - 1
     while i > 0:

@@ -428,16 +428,23 @@ def degree_hashes(g):
 
 @pytest.mark.parametrize("hashes", [None, constant_hashes, degree_hashes])
 def test_twin_classes_match_python_grouping(monkeypatch, hashes):
-    # with the hash patched, rows of different lists collide, and only the
-    # entry-by-entry check may tell them apart
+    # with the hash patched, rows of different lists collide: the
+    # entry-by-entry check keeps each class inside one set of twins, and a
+    # set of twins split over several classes changes no distance
     if hashes is not None:
         monkeypatch.setattr(metrics, "_row_hashes", hashes)
+    split = False
     for name, g in twin_cases():
         member = metrics._largest_component(g)
         classes = twin_classes(g, member)
-        assert kernel_twin_classes(g) == classes, name
-        if hashes is not None:
-            assert metrics._distance_scan(g)[:2] == dijkstra_scan(g, member), name
+        kernel = kernel_twin_classes(g)
+        if hashes is None:
+            assert kernel == classes, name
+        owner = {v: i for i, c in enumerate(classes) for v in c}
+        assert all(len({owner[v] for v in c}) == 1 for c in kernel), name
+        split |= len(kernel) > len(classes)
+        assert metrics._distance_scan(g)[:2] == dijkstra_scan(g, member), name
+    assert split == (hashes is not None)
 
 
 def test_twin_classes_are_planted():
