@@ -4,7 +4,7 @@ Distinct states x, y are joined iff some map sends one to the other.
 Self-loops are dropped and parallel images deduplicated, so the result is a
 plain undirected simple graph in compressed sorted-adjacency form.  The
 image tables become one int32 neighbour table, k entries per state, which
-is also what the sweep kernel metrics.component_counts starts from.
+table_graph canonicalises and the sweep kernel of metrics stacks.
 """
 
 from __future__ import annotations
@@ -100,17 +100,19 @@ def row_pointer(table: np.ndarray) -> np.ndarray:
     return np.arange(0, table.size + 1, table.shape[1], dtype=dtype)
 
 
+def table_graph(table: np.ndarray) -> SimpleGraph:
+    """The simple graph of a (V, k) neighbour table: i ~ j (i != j) iff j is
+    in row i or i in row j; a sweep's stacked table gives a disjoint union."""
+    # loops, missing images included, enter as False and drop out of a + a.T
+    moves = table != np.arange(len(table), dtype=np.int32)[:, None]
+    csr = (moves.ravel(), table.ravel(), row_pointer(table))
+    return _simple_graph(csr_matrix(csr, shape=(len(table),) * 2))
+
+
 def build_graph(family: MapFamily) -> SimpleGraph:
     """Vertex i ~ vertex j (i != j) iff some map sends state i to state j or
     state j to state i."""
-    space = family.space
-    if space.size > SIZE_CAP:
-        raise ValueError(f"space {space.spec()} above the {SIZE_CAP}-state cap")
-    table = neighbour_table(image_tables(family))
-    # loops, missing images included, enter as False and drop out of a + a.T
-    moves = table != np.arange(space.size, dtype=np.int32)[:, None]
-    csr = (moves.ravel(), table.ravel(), row_pointer(table))
-    return _simple_graph(csr_matrix(csr, shape=(space.size, space.size)))
+    return table_graph(neighbour_table(image_tables(family)))
 
 
 # CSR entries per row block of the export and of the triangle kernel, rows

@@ -42,13 +42,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from . import rng
-from .graphs import SimpleGraph, neighbour_table, row_blocks, row_pointer
+from .graphs import SimpleGraph, neighbour_table, row_blocks, row_pointer, table_graph
 
 EXACT_BFS_LIMIT = 1 << 16
 SAMPLE_SOURCES = 2048
-# vertices per block-diagonal matrix in component_counts: large enough that
-# scipy's per-call cost is shared by many small graphs, small enough that a
-# sweep's working set stays a few MB
+# vertices per block-diagonal chunk of a sweep (_sweep_chunks): large enough
+# that the per-call cost of scipy and of the triangle kernel is shared by
+# many small graphs, small enough that a sweep's working set stays a few MB
 _CHUNK_VERTICES = 1 << 16
 # sources per bit-parallel BFS pass: 8 uint64 words per vertex
 _BFS_SOURCES = 512
@@ -96,51 +96,65 @@ def components(g: SimpleGraph) -> tuple[int, np.ndarray]:
     return _scipy_components(_as_sparse(g), directed=False)
 
 
-def component_counts(graphs) -> np.ndarray:
-    """Component count of each graph of a sweep, equal to
-    components(build_graph(f))[0] for the family f behind it.
-
-    A graph is given as its image tables, one array per map with -1 where a
-    state has no image, and every graph of a sweep has the same number of
-    maps.  The graphs are stacked into block-diagonal matrices of about
-    _CHUNK_VERTICES vertices, one scipy call per matrix.  Each matrix is the
-    regular CSR of graphs.neighbour_table, the table build_graph starts from,
-    without its canonicalisation: a missing image becomes a self-loop and
-    parallel images stay, neither of which changes a component count, so
-    every vertex has one entry per map and the stacked CSR needs no sort.
-    """
-    counts = []
+def _sweep_chunks(graphs):
+    """(table, block, count) of each block-diagonal chunk of a sweep of
+    graphs, each given as its image tables (one per map, the same number for
+    every graph): the graphs.neighbour_table of about _CHUNK_VERTICES vertices
+    of graphs, each offset by the vertices before it, the chunk's graph that
+    owns each row, and the number of graphs in the chunk."""
     chunk, total = [], 0
     for tables in graphs:
         if chunk and len(tables) != len(chunk[0]):
             raise ValueError("every graph of a sweep needs the same number of maps")
-        size = len(tables[0])
-        if chunk and total + size > _CHUNK_VERTICES:
-            counts.append(_block_counts(chunk))
+        if chunk and total + len(tables[0]) > _CHUNK_VERTICES:
+            yield _stacked(chunk)
             chunk, total = [], 0
         chunk.append(tables)
-        total += size
+        total += len(tables[0])
     if chunk:
-        counts.append(_block_counts(chunk))
-    return np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
+        yield _stacked(chunk)
 
 
-def _block_counts(chunk: list) -> np.ndarray:
-    """Component counts of the graphs of one block-diagonal matrix."""
+def _stacked(chunk: list) -> tuple[np.ndarray, np.ndarray, int]:
     sizes = np.array([len(tables[0]) for tables in chunk], dtype=np.int64)
-    total = int(sizes.sum())
-    maps = len(chunk[0])
     block = np.repeat(np.arange(len(chunk)), sizes)
     offset = (np.cumsum(sizes) - sizes)[block]
-    table = neighbour_table(
-        [np.concatenate([tables[k] for tables in chunk]) for k in range(maps)], offset
-    )
-    data = np.ones(table.size)  # float64, which scipy would otherwise sort to cast
-    mat = csr_matrix((data, table.ravel(), row_pointer(table)), shape=(total, total))
-    count, labels = _scipy_components(mat, directed=False)
-    owner = np.empty(count, dtype=np.int64)
-    owner[labels] = block  # no component spans two blocks
-    return np.bincount(owner, minlength=len(chunk))
+    columns = [np.concatenate(images) for images in zip(*chunk)]
+    return neighbour_table(columns, offset), block, len(chunk)
+
+
+def component_counts(graphs) -> np.ndarray:
+    """Component count of each graph of a sweep, equal to
+    components(build_graph(f))[0] for the family f behind it: one scipy call
+    per chunk of _sweep_chunks, on its raw table, whose self-loops and
+    parallel entries change no component count, so its CSR needs no sort."""
+    counts = [np.zeros(0, dtype=np.int64)]
+    for table, block, count in _sweep_chunks(graphs):
+        data = np.ones(table.size)  # float64, which scipy would otherwise sort to cast
+        shape = (len(table),) * 2
+        mat = csr_matrix((data, table.ravel(), row_pointer(table)), shape=shape)
+        found, labels = _scipy_components(mat, directed=False)
+        owner = np.empty(found, dtype=np.int64)
+        owner[labels] = block  # no component spans two graphs
+        counts.append(np.bincount(owner, minlength=count))
+    return np.concatenate(counts)
+
+
+def edge_triangle_counts(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, triangles) of each graph of a sweep, equal to the edge_count
+    and triangle_count of build_graph(f) for the family f behind it.  Each
+    chunk of _sweep_chunks goes once through graphs.table_graph, _oriented
+    and _triangles; an edge or triangle counts for the graph of its lowest vertex."""
+    edges, triangles = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for table, block, count in _sweep_chunks(graphs):
+        g = table_graph(table)
+        us, _, keys, ptr, head = _oriented(g)
+        edges.append(np.bincount(block[us], minlength=count))
+        found = np.zeros(count, dtype=np.int64)
+        for x, *_ in _triangles(g.vertex_count, keys, ptr, head):
+            found += np.bincount(block[x], minlength=count)
+        triangles.append(found)
+    return np.concatenate(edges), np.concatenate(triangles)
 
 
 def _largest_component(g: SimpleGraph, labels: np.ndarray | None = None) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Deterministic 64-bit seed streams and seeded shuffles.
 
-Everything here is integer arithmetic on 64-bit words (splitmix64), so a
-given seed produces the same values on every platform and Python build.
+Every draw goes through one splitmix64 mix, first_draws, so a given seed
+produces the same values on every platform and Python build.
 """
 
 from __future__ import annotations
@@ -16,15 +16,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _DRAW_CHUNK = 1 << 16
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """Advance a splitmix64 state once; returns (value, next_state)."""
-    state = (state + _GOLDEN) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31), state
-
-
 class SeedStream:
     """Stateful stream of 64-bit words derived from one seed."""
 
@@ -32,7 +23,8 @@ class SeedStream:
         self.state = seed & _MASK  # the splitmix64 state of the last draw
 
     def next_u64(self) -> int:
-        value, self.state = splitmix64(self.state)
+        value = int(first_draws(np.array([self.state], dtype=np.uint64))[0])
+        self.state = (self.state + _GOLDEN) & _MASK
         return value
 
     def next_below(self, bound: int) -> int:
@@ -47,8 +39,8 @@ class SeedStream:
 
 
 def first_draws(seeds: np.ndarray) -> np.ndarray:
-    """SeedStream(s).next_u64() for each uint64 seed s, in numpy arithmetic,
-    which wraps like the masked Python."""
+    """SeedStream(s).next_u64() for each uint64 seed s, in uint64 array
+    arithmetic, which wraps mod 2^64 (a numpy scalar would warn)."""
     z = seeds + np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)

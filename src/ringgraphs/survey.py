@@ -31,7 +31,7 @@ from .maps import (
     format_map,
     image_table,
 )
-from .metrics import component_counts, components, euler_characteristic, full_report  # noqa: F401
+from .metrics import component_counts, components, edge_triangle_counts, full_report  # noqa: F401
 from .numtheory import first_primes, is_primitive_root
 from .spaces import BitVec, Zn, parse_space
 
@@ -106,14 +106,13 @@ def connectivity_locus(
 
 
 def euler_sequence(n_max: int) -> tuple[int, ...]:
-    """Euler characteristic of the squaring-map graph on Z_n, n = 1..n_max."""
+    """Euler characteristic V - E + T of the squaring-map graph on Z_n,
+    n = 1..n_max, from one sweep of metrics.edge_triangle_counts."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    out = []
-    for n in range(1, n_max + 1):
-        g = build_graph(MapFamily((PowerPlus(2, 0),), Zn(n)))
-        out.append(euler_characteristic(g))
-    return tuple(out)
+    families = (MapFamily((PowerPlus(2, 0),), Zn(n)) for n in range(1, n_max + 1))
+    edges, triangles = edge_triangle_counts(image_tables(f) for f in families)
+    return tuple((np.arange(1, n_max + 1) - edges + triangles).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,21 @@
 number-theoretic prediction for each connectivity/triangle claim.
 
 The graph side of every connectivity claim is survey.connectivity_locus,
-the scan that `ringgraphs scan locus` prints; the triangle and matrix
-claims build their graphs with the graph construction and metrics modules.
-The prediction side uses only the integer predicates, so the two routes
-share no code.  CLAIMS declares each claim once: its checker and the
-parameters it takes, with their defaults.
+the scan that `ringgraphs scan locus` prints; the triangle claim reads
+metrics.edge_triangle_counts, the sweep of `ringgraphs scan euler-seq`,
+and the matrix claim builds its one graph with graphs.build_graph.  The
+prediction side uses only the integer predicates, so the two routes share
+no code.  CLAIMS declares each claim once: its checker and the parameters
+it takes, with their defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import build_graph
+from .graphs import build_graph, image_tables
 from .maps import Affine, MapFamily, MatQuad, PowerPlus, preset
-from .metrics import components, triangle_count
+from .metrics import components, edge_triangle_counts
 from .numtheory import (
     factorize,
     is_fermat_prime,
@@ -175,19 +176,11 @@ def verify_collatz_triangles(p_max: int) -> Verdict:
     p > 17, and exactly 6 at n = 13."""
     if p_max < 19:
         raise ValueError("p_max must be >= 19")
-    agree, bad = 0, []
-    if triangle_count(build_graph(preset("collatz", 13))) == 6:
-        agree += 1
-    else:
-        bad.append(13)
-    for p in range(19, p_max + 1):
-        if not is_prime(p):
-            continue
-        t = triangle_count(build_graph(preset("collatz", p)))
-        if t == 4:
-            agree += 1
-        else:
-            bad.append(f"p={p}:t={t}")
+    ns = [13] + [p for p in range(19, p_max + 1) if is_prime(p)]
+    _, found = edge_triangle_counts(image_tables(preset("collatz", n)) for n in ns)
+    bad = [13] if found[0] != 6 else []
+    bad += [f"p={p}:t={t}" for p, t in zip(ns[1:], found[1:].tolist()) if t != 4]
+    agree = len(ns) - len(bad)
     return Verdict("collatz-triangles", f"13,primes 19..{p_max}", agree, tuple(bad))
 
 

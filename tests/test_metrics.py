@@ -705,7 +705,7 @@ def test_triangle_kernel_holds_no_whole_graph_temporary():
     assert peak < 15 << 20
 
 
-# -- batched component counts -----------------------------------------------
+# -- the sweep kernel: components, edges and triangles -----------------------
 
 
 def union_find_count(tables) -> int:
@@ -722,6 +722,19 @@ def assert_kernel_matches_both_routes(families):
     per_graph = [metrics.components(build_graph(f))[0] for f in families]
     oracle = [union_find_count(image_tables(f)) for f in families]
     assert got.tolist() == per_graph == oracle
+    assert_edges_and_triangles_match(families)
+
+
+def assert_edges_and_triangles_match(families):
+    """edge_triangle_counts against build_graph's edge count, and against
+    brute_triangles, or triangle_count on graphs too large for it."""
+    edges, triangles = metrics.edge_triangle_counts(image_tables(f) for f in families)
+    built = [build_graph(f) for f in families]
+    assert edges.tolist() == [g.edge_count for g in built]
+    assert triangles.tolist() == [
+        brute_triangles(g) if g.vertex_count <= 64 else metrics.triangle_count(g)
+        for g in built
+    ]
 
 
 def test_component_counts_on_restricted_spaces():
@@ -752,6 +765,10 @@ def test_component_counts_on_size_zero_and_one():
     tables = [image_tables(f) for f in singles]
     assert metrics.component_counts([empty, tables[0], empty]).tolist() == [0, 1, 0]
     assert metrics.component_counts([]).tolist() == []
+    for graphs in ([empty], [empty, empty], [empty, tables[0], empty]):
+        edges, triangles = metrics.edge_triangle_counts(graphs)
+        assert edges.tolist() == triangles.tolist() == [0] * len(graphs)
+    assert [c.tolist() for c in metrics.edge_triangle_counts([])] == [[], []]
 
 
 def test_component_counts_matrix_rings():
@@ -780,6 +797,10 @@ def test_component_counts_straddle_chunks(monkeypatch):
     assert metrics.component_counts(mixed).tolist() == [
         c for pair in zip(want, [0] * len(want)) for c in pair
     ]
+    edges, triangles = metrics.edge_triangle_counts(mixed)
+    built = [build_graph(f) for f in families[45:60]]
+    assert edges.tolist() == [c for g in built for c in (g.edge_count, 0)]
+    assert triangles.tolist() == [c for g in built for c in (brute_triangles(g), 0)]
 
 
 def test_component_counts_at_the_real_chunk_size():
@@ -793,14 +814,16 @@ def test_component_counts_at_the_real_chunk_size():
     ]
     got = metrics.component_counts(image_tables(f) for f in families)
     assert got.tolist() == [metrics.components(build_graph(f))[0] for f in families]
+    assert_edges_and_triangles_match(families)
 
 
 def test_component_counts_need_one_map_count_per_sweep():
     one = image_tables(MapFamily((Affine(2, 0),), Zn(8)))
     two = image_tables(preset("collatz", 8))
     for graphs in ([one, two], [two, one]):
-        with pytest.raises(ValueError, match="same number of maps"):
-            metrics.component_counts(graphs)
+        for kernel in (metrics.component_counts, metrics.edge_triangle_counts):
+            with pytest.raises(ValueError, match="same number of maps"):
+                kernel(graphs)
 
 
 def test_component_counts_do_not_depend_on_block_order():
@@ -813,6 +836,28 @@ def test_component_counts_do_not_depend_on_block_order():
     assert shuffled.tolist() == base[order].tolist()
     reverse = metrics.component_counts(tables[::-1])
     assert reverse.tolist() == base[::-1].tolist()
+    base = np.array(metrics.edge_triangle_counts(tables))
+    assert base[1].any()
+    shuffled = metrics.edge_triangle_counts([tables[i] for i in order])
+    assert np.array(shuffled).tolist() == base[:, order].tolist()
+    reverse = metrics.edge_triangle_counts(tables[::-1])
+    assert np.array(reverse).tolist() == base[:, ::-1].tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 50, None])
+def test_edge_triangle_counts_with_escaping_and_parallel_images(monkeypatch, chunk):
+    # missing images (-1) on the nonzero residues and the units, and one
+    # image given twice by 2x,2x, all of which build_graph drops or merges
+    if chunk is not None:
+        monkeypatch.setattr(metrics, "_CHUNK_VERTICES", chunk)
+    for maps in ((Affine(2, 0), Affine(3, 1)), (PowerPlus(2, 0), PowerPlus(3, 0))):
+        families = [MapFamily(maps, ZnNonzero(n)) for n in range(2, 60)]
+        families += [MapFamily(maps, ZnUnits(n)) for n in range(1, 60)]
+        assert any((t < 0).any() for f in families for t in image_tables(f))
+        assert_edges_and_triangles_match(families)
+    assert_edges_and_triangles_match(
+        [MapFamily((Affine(2, 0), Affine(2, 0)), Zn(n)) for n in range(1, 60)]
+    )
 
 
 @pytest.mark.parametrize("width", [3, 4, 5])
