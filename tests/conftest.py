@@ -150,16 +150,16 @@ def brute_triangles(g: SimpleGraph) -> int:
     return count
 
 
-def loop_edge_triangle_counts(g: SimpleGraph) -> np.ndarray:
-    """Common-neighbour count of each canonical edge, one intersect1d per
-    edge: the reference for the vectorised wedge kernel."""
-    us, vs = g.edge_arrays()
-    common = np.empty(len(us), dtype=np.int64)
-    for i in range(len(us)):
-        common[i] = np.intersect1d(
-            neighbor_array(g, us[i]), neighbor_array(g, vs[i]), assume_unique=True
-        ).size
-    return common
+def loop_vertex_triangle_counts(g: SimpleGraph) -> np.ndarray:
+    """Number of triangles at each vertex, the edges among its neighbours:
+    one intersect1d per neighbour, which sees each such edge from both its
+    ends.  The reference for the vectorised wedge kernel."""
+    at = np.zeros(g.vertex_count, dtype=np.int64)
+    for v in range(g.vertex_count):
+        nbr = neighbor_array(g, v)
+        for u in nbr:
+            at[v] += np.intersect1d(nbr, neighbor_array(g, u), assume_unique=True).size
+    return at // 2
 
 
 def brute_has_k4(g: SimpleGraph) -> bool:

@@ -34,7 +34,7 @@ from conftest import (
     bfs_distances,
     brute_has_k4,
     brute_triangles,
-    loop_edge_triangle_counts,
+    loop_vertex_triangle_counts,
     run_under_rlimit,
 )
 from oracles import UnionFind, neighbor_array, shuffled_range, twin_classes
@@ -526,7 +526,8 @@ def test_full_report_at_2_17_fits_in_one_gib():
 def test_euler_characteristic_at_2_20_fits_in_352_mib():
     # build_graph and the triangle kernel on zn:2^20 under an address-space
     # limit set on the child only; the smallest limit that fits, to 4 MiB,
-    # is 297 MiB, and 375 MiB with an argsort orientation beside the keys
+    # is 275 MiB, 290 MiB with E-long per-edge triangle counts beside the
+    # keys, and about 80 MiB more with an argsort orientation beside them
     code = (
         "from ringgraphs import graphs, maps, metrics, spaces\n"
         "space = spaces.parse_space('zn:1048576')\n"
@@ -572,10 +573,10 @@ def triangle_cases():
 
 
 def assert_triangle_kernel_matches_loop(g):
-    us, vs, common = metrics._edge_triangle_counts(g)
-    want_us, want_vs = g.edge_arrays()
-    assert np.array_equal(us, want_us) and np.array_equal(vs, want_vs)
-    assert np.array_equal(common, loop_edge_triangle_counts(g))
+    us, at = metrics._edge_triangle_counts(g)
+    assert np.array_equal(us, g.edge_arrays()[0])
+    assert at.dtype == np.int64
+    assert np.array_equal(at, loop_vertex_triangle_counts(g))
 
 
 def test_triangle_kernel_matches_intersect_loop():
@@ -604,11 +605,11 @@ def test_kernels_at_vertex_ids_above_2_16():
         g = graph_from_edges(1 << 17, ids[us[drop:]], ids[vs[drop:]])
         assert metrics.triangle_count(g) == brute_triangles(small) == 10 - 2 * drop
         assert metrics.k4_free(g) == (not brute_has_k4(small)) == bool(drop)
-        got_us, got_vs, common = metrics._edge_triangle_counts(g)
-        small_us, small_vs = small.edge_arrays()
-        assert np.array_equal(got_us, ids[small_us])
-        assert np.array_equal(got_vs, ids[small_vs])
-        assert np.array_equal(common, loop_edge_triangle_counts(small))
+        got_us, at = metrics._edge_triangle_counts(g)
+        assert np.array_equal(got_us, ids[small.edge_arrays()[0]])
+        want = np.zeros(g.vertex_count, dtype=np.int64)
+        want[ids] = loop_vertex_triangle_counts(small)
+        assert np.array_equal(at, want)
 
 
 def late_k4():
@@ -643,6 +644,23 @@ def test_k4_free_matches_brute_force(monkeypatch):
     assert [metrics.k4_free(g) for g in cases] == want
     monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 2)
     assert [metrics.k4_free(g) for g in cases] == want
+
+
+def test_clustering_matches_per_vertex_oracle():
+    # nu_local and nu_transitivity from the intersect-loop counts, summed in
+    # the test: the local mean is an fsum of t_v / C(d_v, 2) over V, and
+    # transitivity 3T / sum of C(d, 2), both 0 where nothing is summed
+    for g in [*triangle_cases(), *k4_cases()]:
+        at = loop_vertex_triangle_counts(g).tolist()
+        pairs = [math.comb(d, 2) for d in g.degrees().tolist()]
+        n, triples = g.vertex_count, sum(pairs)
+        local = math.fsum(t / p for t, p in zip(at, pairs) if p) / n if n else 0.0
+        trans = sum(at) / triples if triples else 0.0
+        assert metrics.clustering(g) == (local, trans)
+        if n:
+            report = metrics.full_report(g)
+            assert report.nu_local == local and report.nu_transitivity == trans
+            assert report.triangles == sum(at) // 3
 
 
 def row_block_cases(block: int):
@@ -693,8 +711,9 @@ def test_triangle_kernels_across_row_blocks(monkeypatch, block):
 
 def test_triangle_kernel_holds_no_whole_graph_temporary():
     # the outputs, keys, the oriented heads and their row offsets come to
-    # 7.9 MB here; an argsort permutation and E-long wedge offsets beside
-    # them would pass the bound
+    # 5.5 MiB here and the peak to 11.1 MiB, 13.2 MiB with E-long per-edge
+    # counts beside them; an argsort permutation and E-long wedge offsets
+    # would pass the bound
     g = from_texts("zn:131072", "x^2+1,x^2+2")
     tracemalloc.start()
     try:
@@ -702,7 +721,7 @@ def test_triangle_kernel_holds_no_whole_graph_temporary():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 15 << 20
+    assert peak < 12.6 * (1 << 20)
 
 
 # -- the sweep kernel: components, edges and triangles -----------------------
