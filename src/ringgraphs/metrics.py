@@ -22,16 +22,16 @@ tables, shared by every pass, hold at most twice the CSR entries.  The scan
 is exact, all sources, up to 2^16 vertices; above that a seeded sample of
 2048 sources is used and the sample size is recorded in the report.
 
-Triangles come from the forward algorithm.  Each edge is kept once, as the
-CSR entry out of its end of lower (degree, index) rank: a filter of the
-sorted CSR taken over its row blocks, which needs no sort.  The wedges of
-the oriented rows are walked over the same kind of row blocks in chunks of
-at most _WEDGE_CHUNK, and each chunk's closing-edge queries are sorted
-before they are looked up in the sorted edge keys.  Each triangle is seen
-once, at its lowest-rank vertex, and adds 1 at each of its three vertices;
-every triangle number reads these counts.  Beside them the kernel holds each
-edge's lower end and key and the oriented rows: 11.1 MiB at the peak on
-x^2+1,x^2+2 over Z_2^17.  The 4-clique test extends the same triangles.
+Triangles and 4-cliques come from one clique-extension step.  Each edge is
+kept once, as the CSR entry out of its end of lower (degree, index) rank: a
+filter of the sorted CSR taken over its row blocks, which needs no sort.  A
+clique grows from its lowest-rank vertex by each later out-neighbour of it
+adjacent to all its other members, walked over the same row blocks in chunks
+of at most _WEDGE_CHUNK whose queries are sorted before they are looked up
+in the sorted edge keys.  Each triangle, seen once, adds 1 at its three
+vertices; every triangle number reads these counts.  Beside them the kernel
+holds the edge keys and the oriented rows: 9.7 MiB at the peak on
+x^2+1,x^2+2 over Z_2^17.  The 4-clique test grows the triangles once more.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ _CHUNK_VERTICES = 1 << 16
 _BFS_SOURCES = 512
 # neighbour entries per gathered block of the distance scan: 4 MiB at 8 words
 _SLAB_ENTRIES = 1 << 16
-# wedges per chunk of the triangle and 4-clique kernels
+# candidate members per chunk of the clique-extension step (_extend)
 _WEDGE_CHUNK = 1 << 16
 
 
@@ -147,15 +147,16 @@ def edge_triangle_counts(graphs) -> tuple[np.ndarray, np.ndarray]:
     """(edges, triangles) of each graph of a sweep, equal to the edge_count
     and triangle_count of build_graph(f) for the family f behind it.  Each
     chunk of _sweep_chunks goes once through graphs.table_graph and
-    _edge_triangle_counts.  An edge counts for the graph of its lower end,
-    and a graph's triangles are a third of the counts summed over its rows,
-    one run of block."""
+    _edge_triangle_counts.  A graph's edges are half the degrees and its
+    triangles a third of the triangle counts, each summed over its rows, one
+    run of block."""
     edges, triangles = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for table, block, count in _sweep_chunks(graphs):
-        us, at = _edge_triangle_counts(table_graph(table))
-        edges.append(np.bincount(block[us], minlength=count))
+        g = table_graph(table)
+        at = _edge_triangle_counts(g)[1]
         rows = np.searchsorted(block, np.arange(count + 1))
-        triangles.append(np.diff(np.concatenate([[0], np.cumsum(at)])[rows]) // 3)
+        for out, per_row, share in ((edges, g.degrees(), 2), (triangles, at, 3)):
+            out.append(np.diff(np.concatenate([[0], np.cumsum(per_row)])[rows]) // share)
     return np.concatenate(edges), np.concatenate(triangles)
 
 
@@ -391,14 +392,13 @@ def _weighted_count(bits: np.ndarray, rows: list, words: list) -> int:
 
 
 def _oriented(g: SimpleGraph):
-    """(us, keys, ptr, head): the lower ends u of the canonical edges u < v
-    in the order of g.edge_arrays(), their sorted int64 keys u*V+v, and each
-    edge once as the CSR entry x -> y of g with (deg x, x) < (deg y, y): the
-    out-edges of x have the heads head[ptr[x]:ptr[x+1]], ascending as in g.
-    No vertex has more than sqrt(2E) out-edges.  One pass over the row
-    blocks of g fills them, with no sort."""
+    """(keys, ptr, head): the sorted int64 keys u*V+v of the canonical edges
+    u < v, and each edge once as the CSR entry x -> y of g with
+    (deg x, x) < (deg y, y): the out-edges of x have the heads
+    head[ptr[x]:ptr[x+1]], ascending as in g.  No vertex has more than
+    sqrt(2E) out-edges.  One pass over the row blocks of g fills them, with
+    no sort."""
     n, deg = g.vertex_count, g.degrees()
-    us = np.empty(g.edge_count, dtype=np.int32)
     keys = np.empty(g.edge_count, dtype=np.int64)
     head = np.empty(g.edge_count, dtype=np.int32)
     ptr = np.zeros(n + 1, dtype=g.indptr.dtype)  # out-degrees, then their sums
@@ -413,12 +413,11 @@ def _oriented(g: SimpleGraph):
         heads = dst[out]
         head[oriented : oriented + len(heads)] = heads
         oriented += len(heads)
-        u = src[upper]
-        us[filled : filled + len(u)] = u
-        keys[filled : filled + len(u)] = np.multiply(u, n, dtype=np.int64) + dst[upper]
-        filled += len(u)
+        key = np.multiply(src[upper], n, dtype=np.int64) + dst[upper]
+        keys[filled : filled + len(key)] = key
+        filled += len(key)
     np.cumsum(ptr, out=ptr)
-    return us, keys, ptr, head
+    return keys, ptr, head
 
 
 def _segment_pairs(counts: np.ndarray):
@@ -437,50 +436,51 @@ def _segment_pairs(counts: np.ndarray):
         yield item, np.arange(start, stop) - (ends[item] - counts[item])
 
 
-def _find_edges(keys: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether each vertex pair (a, b) is an edge with a key in keys."""
-    query = np.multiply(np.minimum(a, b), n, dtype=np.int64) + np.maximum(a, b)
-    pos = np.searchsorted(keys, query)
-    return keys[np.minimum(pos, len(keys) - 1)] == query
-
-
-def _triangles(n: int, keys: np.ndarray, ptr: np.ndarray, head: np.ndarray):
-    """Each triangle once, as its lowest-rank vertex x and the heads y < z
-    of two out-edges of x.
-
-    The wedges (y, z) are walked over the row blocks of ptr in chunks of at
-    most _WEDGE_CHUNK.  A chunk's closing-edge queries are sorted before
-    the search, so that successive binary searches share their path
-    through keys, and only the found wedges are mapped back."""
+def _edges(ptr: np.ndarray):
+    """Each oriented edge x -> head[p] as a 2-clique of _extend: chunks
+    (x, at) with at the column of positions p, one per row block of ptr."""
     for start, stop in row_blocks(ptr):
-        first = int(ptr[start])
-        # out-edges after each position of the block in its row
-        later = np.repeat(ptr[start + 1 : stop + 1], np.diff(ptr[start : stop + 1]))
-        later = later - np.arange(first + 1, first + 1 + len(later))
-        for k, j in _segment_pairs(later):
-            k += first  # positions in head
-            y, z = head[k], head[k + 1 + j]
-            query = np.multiply(y, n, dtype=np.int64) + z  # y < z in a row
-            order = np.argsort(query)
-            query = query[order]
-            pos = np.searchsorted(keys, query)
-            wedge = order[keys[np.minimum(pos, len(keys) - 1)] == query]
-            x = start + np.searchsorted(ptr[start + 1 : stop + 1], k[wedge], side="right")
-            yield x, y[wedge], z[wedge]
+        x = np.repeat(np.arange(start, stop, dtype=np.int32), np.diff(ptr[start : stop + 1]))
+        yield x, np.arange(ptr[start], ptr[stop], dtype=ptr.dtype)[:, None]
+
+
+def _extend(n: int, keys: np.ndarray, ptr: np.ndarray, head: np.ndarray, cliques):
+    """Chunks of (k+1)-cliques, each clique once, from chunks of k-cliques.
+
+    A chunk (x, at) holds each clique's lowest-rank vertex x and, in a
+    (c, k-1) array, the positions in head of its other members, ascending
+    in the row of x.  A clique grows by each later head of that row adjacent
+    to all its other members, looked up member by member in chunks of at
+    most _WEDGE_CHUNK candidates.  The queries are sorted before the search,
+    so that successive binary searches share their path through keys."""
+    for x, at in cliques:
+        last = at[:, -1]
+        for item, j in _segment_pairs(ptr[x + 1] - last - 1):
+            p = last[item] + 1 + j
+            for col in range(at.shape[1]):
+                # a row ascends, so each member is below the candidate head[p]
+                query = np.multiply(head[at[item, col]], n, dtype=np.int64) + head[p]
+                order = np.argsort(query)
+                query = query[order]
+                pos = np.searchsorted(keys, query)
+                found = order[keys[np.minimum(pos, len(keys) - 1)] == query]
+                item, p = item[found], p[found]
+            yield x[item], np.column_stack((at[item], p))
 
 
 def _edge_triangle_counts(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(us, at): the lower end of each canonical edge, in the order of
-    g.edge_arrays(), and the int64 number of triangles at each vertex.
+    """(keys, at): the sorted keys u*V+v of the canonical edges u < v and
+    the int64 number of triangles at each vertex.
 
-    The one triangle kernel: each triangle (x, y, z) of _triangles adds 1 at
-    x, y and z, so at sums to 3T.  The benchmark hooks it by this name and
-    reads len(us) as the edge count."""
-    us, keys, ptr, head = _oriented(g)
-    at = np.zeros(g.vertex_count, dtype=np.int64)
-    for x, y, z in _triangles(g.vertex_count, keys, ptr, head):
-        np.add.at(at, np.concatenate([x, y, z]), 1)
-    return us, at
+    The one triangle kernel: each triangle of _extend over _edges adds 1 at
+    its three vertices, so at sums to 3T.  The benchmark hooks it by this
+    name and reads len(keys) as the edge count."""
+    n = g.vertex_count
+    keys, ptr, head = _oriented(g)
+    at = np.zeros(n, dtype=np.int64)
+    for x, pos in _extend(n, keys, ptr, head, _edges(ptr)):
+        np.add.at(at, np.concatenate([x, head[pos.ravel()]]), 1)
+    return keys, at
 
 
 def triangle_count(g: SimpleGraph) -> int:
@@ -524,23 +524,18 @@ def lambda_coefficient(mu: float, nu: float) -> float | None:
 
 
 def euler_characteristic(g: SimpleGraph) -> int:
-    """vertices - edges + triangles (meaningful for tetrahedron-free graphs)."""
+    """vertices - edges + triangles: the Euler characteristic of the clique
+    complex only when k4_free(g).  x^2+1,x^2+2 on Z_13 has clique counts 13,
+    23, 8 and 1, so this is -2 where the clique complex has -3."""
     return g.vertex_count - g.edge_count + triangle_count(g)
 
 
 def k4_free(g: SimpleGraph) -> bool:
-    """True iff the graph has no 4-clique."""
+    """True iff the graph has no 4-clique: _extend grows no triangle."""
     n = g.vertex_count
-    _, keys, ptr, head = _oriented(g)
-    # a 4-clique's lowest-rank vertex x has the other three as out-neighbours,
-    # so it shows as a triangle x, y, z found at x plus an out-neighbour of x
-    # adjacent to y and z
-    for x, y, z in _triangles(n, keys, ptr, head):
-        for t, j in _segment_pairs(ptr[x + 1] - ptr[x]):
-            d = head[ptr[x[t]] + j]
-            if (_find_edges(keys, n, d, y[t]) & _find_edges(keys, n, d, z[t])).any():
-                return False
-    return True
+    keys, ptr, head = _oriented(g)
+    triangles = _extend(n, keys, ptr, head, _edges(ptr))
+    return not any(len(x) for x, _ in _extend(n, keys, ptr, head, triangles))
 
 
 def degree_stats(g: SimpleGraph) -> tuple[float, tuple[int, ...]]:

@@ -10,7 +10,6 @@ are pure functions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import gcd, isqrt, log
@@ -244,10 +243,6 @@ class SmoothSet:
     base_primes: frozenset[int]
     limit: int
     members: tuple[int, ...]
-
-    def __contains__(self, n: int) -> bool:
-        i = bisect_left(self.members, n)
-        return i < len(self.members) and self.members[i] == n
 
 
 def smooth_set(primes: set[int] | frozenset[int], limit: int) -> SmoothSet:

@@ -173,6 +173,21 @@ def brute_has_k4(g: SimpleGraph) -> bool:
     return False
 
 
+def brute_clique_counts(g: SimpleGraph) -> list[int]:
+    """[c1, c2, ...]: the number of k-cliques of g for k = 1 up to its
+    clique number.  A clique is kept as the set of its members' common
+    neighbours above its highest member, and grows by each of them in turn,
+    with sets: no orientation and no lookup in sorted keys."""
+    above = [
+        {int(u) for u in neighbor_array(g, v) if u > v} for v in range(g.vertex_count)
+    ]
+    counts, cliques = [], above
+    while cliques:
+        counts.append(len(cliques))
+        cliques = [common & above[v] for common in cliques for v in common]
+    return counts
+
+
 def bfs_distances(g: SimpleGraph, source: int) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])

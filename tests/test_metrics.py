@@ -32,6 +32,7 @@ from ringgraphs.spaces import (
 
 from conftest import (
     bfs_distances,
+    brute_clique_counts,
     brute_has_k4,
     brute_triangles,
     loop_vertex_triangle_counts,
@@ -525,9 +526,10 @@ def test_full_report_at_2_17_fits_in_one_gib():
 
 def test_euler_characteristic_at_2_20_fits_in_352_mib():
     # build_graph and the triangle kernel on zn:2^20 under an address-space
-    # limit set on the child only; the smallest limit that fits, to 4 MiB,
-    # is 275 MiB, 290 MiB with E-long per-edge triangle counts beside the
-    # keys, and about 80 MiB more with an argsort orientation beside them
+    # limit set on the child only; the smallest limit that fits, to 1 MiB,
+    # is 266 MiB, 274 MiB with each edge's lower end beside the keys, 290 MiB
+    # with E-long per-edge triangle counts too, and about 80 MiB more with
+    # an argsort orientation beside them
     code = (
         "from ringgraphs import graphs, maps, metrics, spaces\n"
         "space = spaces.parse_space('zn:1048576')\n"
@@ -572,9 +574,14 @@ def triangle_cases():
     yield from_texts("zn:50", "x+1,x+2,x+3")
 
 
+def edge_keys(g):
+    us, vs = g.edge_arrays()
+    return np.multiply(us, g.vertex_count, dtype=np.int64) + vs
+
+
 def assert_triangle_kernel_matches_loop(g):
-    us, at = metrics._edge_triangle_counts(g)
-    assert np.array_equal(us, g.edge_arrays()[0])
+    keys, at = metrics._edge_triangle_counts(g)
+    assert np.array_equal(keys, edge_keys(g))
     assert at.dtype == np.int64
     assert np.array_equal(at, loop_vertex_triangle_counts(g))
 
@@ -605,8 +612,8 @@ def test_kernels_at_vertex_ids_above_2_16():
         g = graph_from_edges(1 << 17, ids[us[drop:]], ids[vs[drop:]])
         assert metrics.triangle_count(g) == brute_triangles(small) == 10 - 2 * drop
         assert metrics.k4_free(g) == (not brute_has_k4(small)) == bool(drop)
-        got_us, at = metrics._edge_triangle_counts(g)
-        assert np.array_equal(got_us, ids[small.edge_arrays()[0]])
+        keys, at = metrics._edge_triangle_counts(g)
+        assert np.array_equal(keys, edge_keys(g))
         want = np.zeros(g.vertex_count, dtype=np.int64)
         want[ids] = loop_vertex_triangle_counts(small)
         assert np.array_equal(at, want)
@@ -634,6 +641,9 @@ def k4_cases():
     yield from_texts("zn:50", "x+1,x+2")  # triangles, no 4-clique
     yield from_texts("zn:9", "2x,3x+1,x^2")
     yield from_texts("zn:50", "2x,3x+1,x^2")
+    # the paper's squaring families, one 4-clique each
+    yield from_texts("zn:13", "x^2+1,x^2+2")
+    yield from_texts("zn:7", "x^2+2,x^2+3")
     yield graph_from_edges(0, [], [])
 
 
@@ -644,6 +654,34 @@ def test_k4_free_matches_brute_force(monkeypatch):
     assert [metrics.k4_free(g) for g in cases] == want
     monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 2)
     assert [metrics.k4_free(g) for g in cases] == want
+
+
+def extend_clique_counts(g):
+    """The clique counts of g from _extend applied until it finds none,
+    each clique checked to ascend in the oriented row of its lowest vertex."""
+    n = g.vertex_count
+    keys, ptr, head = metrics._oriented(g)
+    counts, cliques = [n] if n else [], list(metrics._edges(ptr))
+    while found := sum(len(x) for x, _ in cliques):
+        counts.append(found)
+        for x, at in cliques:
+            assert (np.diff(at, axis=1) > 0).all()
+            assert (ptr[x][:, None] <= at).all() and (at < ptr[x + 1][:, None]).all()
+        cliques = list(metrics._extend(n, keys, ptr, head, cliques))
+    return counts
+
+
+@pytest.mark.parametrize("wedges, block", [(None, None), (2, None), (None, 1), (None, 3)])
+def test_extend_clique_counts_match_set_oracle(monkeypatch, wedges, block):
+    if wedges:
+        monkeypatch.setattr(metrics, "_WEDGE_CHUNK", wedges)
+    if block:
+        monkeypatch.setattr(graphs, "_EXPORT_CHUNK", block)
+    cases = [*triangle_cases(), *k4_cases(), *(complete_graph(n) for n in (5, 6, 7, 8))]
+    got = [extend_clique_counts(g) for g in cases]
+    assert got == [brute_clique_counts(g) for g in cases]
+    assert max(map(len, got)) == 12  # K12 of triangle_cases
+    assert [8, 28, 56, 70, 56, 28, 8, 1] in got
 
 
 def test_clustering_matches_per_vertex_oracle():
@@ -710,10 +748,10 @@ def test_triangle_kernels_across_row_blocks(monkeypatch, block):
 
 
 def test_triangle_kernel_holds_no_whole_graph_temporary():
-    # the outputs, keys, the oriented heads and their row offsets come to
-    # 5.5 MiB here and the peak to 11.1 MiB, 13.2 MiB with E-long per-edge
-    # counts beside them; an argsort permutation and E-long wedge offsets
-    # would pass the bound
+    # the outputs (the edge keys and the per-vertex counts), the oriented
+    # heads and their row offsets come to 4.5 MiB here and the peak to
+    # 9.7 MiB, 11.1 MiB with each edge's lower end beside them; an argsort
+    # permutation (2 MiB) or E-long wedge offsets would pass the bound
     g = from_texts("zn:131072", "x^2+1,x^2+2")
     tracemalloc.start()
     try:
@@ -721,7 +759,7 @@ def test_triangle_kernel_holds_no_whole_graph_temporary():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12.6 * (1 << 20)
+    assert peak < 11.0 * (1 << 20)
 
 
 # -- the sweep kernel: components, edges and triangles -----------------------

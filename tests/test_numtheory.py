@@ -203,8 +203,8 @@ def test_smooth_set_membership_matches_naive():
         s = nt.smooth_set(primes, limit)
         want = set(naive_smooth_members(primes, limit))
         for n in range(-20, 3 * limit + 20):
-            assert (n in s) == (n in want)
-    assert 16 not in nt.smooth_set({2}, 10)
+            assert (n in s.members) == (n in want)
+    assert 16 not in nt.smooth_set({2}, 10).members
 
 
 def test_double_smooth_set_examples():
