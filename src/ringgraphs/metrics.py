@@ -2,25 +2,34 @@
 clustering, triangles, Euler characteristic, degrees.
 
 Path statistics are computed over the largest component, of m vertices, by
-a bit-parallel BFS: 512 sources per pass, one bit each in 8 uint64 words
-per vertex.  The BFS runs over the graph of representatives: the vertices
-with equal neighbour lists (twins, grouped by a row hash and confirmed
-entry by entry) form Q classes, and the subgraph induced on one vertex per
-class keeps every distance between classes.  A hash collision can only
-split one set of twins over more classes, and that changes no distance.
-The sources are the distinct classes of the source set, each weighted by
-the sources it holds, with the sources of one weight in words of their own;
-a distance counts its source's weight times its target's class size, and
-each ordered pair inside one class adds 2, so the integer distance total is
-the one over every vertex.  The Q rows are relabelled once per graph into
-degree slabs, each slab's neighbour lists a column-major table of one
-padded width, cut into blocks of at most _SLAB_ENTRIES entries.  A level
-gathers each block's frontier rows and ORs them over the width into its
-slice of the next frontier, so a pass holds three (Q+1) x 8-word arrays
-(frontier, next frontier, unseen) and one gathered block, and the int32
-tables, shared by every pass, hold at most twice the CSR entries.  The scan
-is exact, all sources, up to 2^16 vertices; above that a seeded sample of
-2048 sources is used and the sample size is recorded in the report.
+a bit-parallel BFS: each pass walks 64 sources per uint64 word of every
+vertex.  The BFS runs over the graph of representatives: the vertices with
+equal neighbour lists (twins, grouped by a row hash and confirmed entry by
+entry) form Q classes, and the subgraph induced on one vertex per class
+keeps every distance between classes.  A hash collision can only split one
+set of twins over more classes, and that changes no distance.  The sources
+are the distinct classes of the source set, each weighted by the sources it
+holds, with the sources of one weight in words of their own; a distance
+counts its source's weight times its target's class size, and each ordered
+pair inside one class adds 2, so the integer distance total is the one over
+every vertex.  The Q rows are relabelled once per graph into degree slabs,
+each slab's neighbour lists a column-major table of one padded width, cut
+into blocks of at most _SLAB_ENTRIES entries.  A level gathers each block's
+frontier rows and ORs them over the width into its slice of the next
+frontier, then counts the new bits, weighted, in one popcount and one
+einsum.  A pass of W words holds three (Q+1) x W-word arrays (frontier,
+next frontier, unseen), a (Q+1) x W uint8 popcount and one gathered block,
+25(Q+1) + 8B bytes a word for a largest block of B entries.  W is the
+largest power of two that keeps this within _PASS_BYTES, 1.5 MiB, but at
+least 2 words, and 4 when 2 words would take more than _WIDE_BYTES, 16 MiB.
+So one pass takes every source of x^2+1,x^2+2 on Z_4000, the paper's
+families from 2^16 vertices up take 2-word passes, and from 2^19 to 2^20
+vertices on 4-word passes, 100(Q+1) + 32B bytes (402 MiB at Q = 2^22).  The
+int32 tables, shared by every pass, hold at most twice the CSR entries.
+How the sources are split into passes changes neither the distance total
+nor the largest eccentricity.  The scan is exact, all sources, up to 2^16
+vertices; above that a seeded sample of 2048 sources is used and the sample
+size is recorded in the report.
 
 Triangles and 4-cliques come from one clique-extension step.  Each edge is
 kept once, as the CSR entry out of its end of lower (degree, index) rank: a
@@ -53,9 +62,19 @@ SAMPLE_SOURCES = 2048
 # that the per-call cost of scipy and of the triangle kernel is shared by
 # many small graphs, small enough that a sweep's working set stays a few MB
 _CHUNK_VERTICES = 1 << 16
-# sources per bit-parallel BFS pass: 8 uint64 words per vertex
-_BFS_SOURCES = 512
-# neighbour entries per gathered block of the distance scan: 4 MiB at 8 words
+# the 64-source words of one distance-scan pass, a power of two: the most
+# whose pass fits in _PASS_BYTES, but at least _PASS_WORDS, and twice that
+# when a pass of _PASS_WORDS outgrows _WIDE_BYTES.  Wide passes share a
+# level's per-call cost among more sources while the pass stays in a core's
+# L2 cache (2 MiB where measured).  Past it, 2-word passes were fastest or
+# within 6%; past _WIDE_BYTES, where rows come from memory, 4 words were up
+# to 17% faster than 2, and 8 words at most 4% faster than 4 with twice the
+# frontier memory (timed on both of the paper's families, 2^12 to 2^22)
+_PASS_BYTES = 3 << 19
+_PASS_WORDS = 2
+_WIDE_BYTES = 16 << 20
+# neighbour entries per gathered block of the distance scan, 8 bytes each per
+# word of a pass: 1 MiB at 2 words; the pass width counts the largest block
 _SLAB_ENTRIES = 1 << 16
 # candidate members per chunk of the clique-extension step (_extend)
 _WEDGE_CHUNK = 1 << 16
@@ -202,17 +221,24 @@ def _distance_scan(
     src, weight = np.unique(cls[sources], return_counts=True)
     total = 2 * int((weight * (size[src] - 1)).sum())
     diameter = 2 if (size[src] > 1).any() else 0
-    targets = _runs(size[np.argsort(rank)])  # the rows by new label
+    targets = np.zeros(len(size) + 1, dtype=np.int64)  # by new label; row Q weighs 0
+    targets[rank] = size
     del cls, size  # not held through the passes
     src, slot, word_weight = _weighted_slots(rank[src], weight)
-    for start in range(0, 64 * len(word_weight), _BFS_SOURCES):
-        lo, hi = np.searchsorted(slot, [start, start + _BFS_SOURCES]).tolist()
+    # a word of a pass is 8 bytes a row in frontier, next frontier and
+    # unseen, and one in found (_bfs_pass), and 8 a gathered block entry
+    per_word = 25 * len(targets) + 8 * max(table.size for _, _, table in blocks)
+    fit = _PASS_BYTES // per_word
+    least = _PASS_WORDS if _PASS_WORDS * per_word <= _WIDE_BYTES else 2 * _PASS_WORDS
+    step = 64 * max(least, 1 << fit.bit_length() >> 1)  # the power of two <= fit
+    for start in range(0, 64 * len(word_weight), step):
+        lo, hi = np.searchsorted(slot, [start, start + step]).tolist()
         ecc, dist_sum = _bfs_pass(
             blocks,
             targets,
             src[lo:hi],
             slot[lo:hi] - start,
-            word_weight[start // 64 : (start + _BFS_SOURCES) // 64],
+            word_weight[start // 64 : (start + step) // 64],
         )
         diameter = max(diameter, ecc)
         total += dist_sum
@@ -346,32 +372,31 @@ def _weighted_slots(sources: np.ndarray, weight: np.ndarray):
 
 
 def _bfs_pass(
-    blocks: list, targets: list, sources: np.ndarray, slot: np.ndarray, word_weight
+    blocks: list, targets: np.ndarray, sources: np.ndarray, slot: np.ndarray, word_weight
 ) -> tuple[int, int]:
     """(largest eccentricity, weighted sum of distances) over distinct
     sources, given by their new labels in the slabs of _degree_slabs, as one
     bit-parallel BFS over the Q relabelled rows.
 
     Source i owns bit slot[i] % 64 of word slot[i] // 64 in every row.  A
-    distance counts the weight of its source's word times the size of the
-    target's run (lo, hi, size) in targets.  Row Q of both frontier buffers
-    stays zero, so a padded table entry adds nothing, and a level gathers
-    each block's rows and ORs them over the table's width straight into
-    its slice of the next frontier.
+    distance counts the weight of its source's word times targets[r], the
+    size of the target's class r.  Row Q of both frontier buffers stays
+    zero, so a padded table entry adds nothing, and a level gathers each
+    block's rows and ORs them over the table's width straight into its
+    slice of the next frontier.
     """
-    q = targets[-1][1]
-    frontier = np.zeros((q + 1, len(word_weight)), dtype=np.uint64)
+    frontier = np.zeros((len(targets), len(word_weight)), dtype=np.uint64)
     frontier[sources, slot // 64] = np.uint64(1) << (slot % 64).astype(np.uint64)
-    words = _runs(word_weight)
     unseen = ~frontier
     reached = np.zeros_like(frontier)
+    found = np.empty(frontier.shape, dtype=np.uint8)
     level = total = 0
     while True:
         for lo, hi, table in blocks:
             gathered = np.take(frontier, table, axis=0)
             np.bitwise_or.reduce(gathered, axis=0, out=reached[lo:hi])
         reached &= unseen
-        count = _weighted_count(reached, targets, words)
+        count = _weighted_count(reached, targets, word_weight, found)
         if count == 0:
             return level, total
         level += 1
@@ -380,15 +405,16 @@ def _bfs_pass(
         frontier, reached = reached, frontier
 
 
-def _weighted_count(bits: np.ndarray, rows: list, words: list) -> int:
-    """The set bits of bits, each counted as the value of its row's run
-    (lo, hi, value) in rows times that of its word's run in words."""
-    found = np.bitwise_count(bits)
-    return sum(
-        size * weight * int(found[lo:hi, a:b].sum(dtype=np.int64))
-        for lo, hi, size in rows
-        for a, b, weight in words
-    )
+def _weighted_count(
+    bits: np.ndarray, row_weight: np.ndarray, word_weight: np.ndarray, found: np.ndarray
+) -> int:
+    """The set bits of the (rows, words) array bits, each counted as the
+    int64 weight of its row times that of its word, with found a uint8
+    buffer of the shape of bits.  The sum runs over the transposed popcounts
+    in row-major order, so that each word is one long inner loop of einsum,
+    which casts found to int64 a buffer at a time."""
+    np.bitwise_count(bits, out=found)
+    return int(np.einsum("ji,i->j", found.T, row_weight, order="C") @ word_weight)
 
 
 def _oriented(g: SimpleGraph):

@@ -272,15 +272,30 @@ def test_distance_kernel_skips_isolated_vertices():
     assert metrics._distance_scan(g)[:2] == dijkstra_scan(g, [1, 2, 4, 5, 6])
 
 
+def one_word_passes(monkeypatch):
+    """Distance-scan passes of 64 sources each."""
+    monkeypatch.setattr(metrics, "_PASS_BYTES", 0)
+    monkeypatch.setattr(metrics, "_PASS_WORDS", 1)
+
+
+def one_pass(monkeypatch):
+    """One distance-scan pass over every source."""
+    monkeypatch.setattr(metrics, "_PASS_BYTES", 1 << 62)
+
+
 @pytest.mark.parametrize("size", [2, 63, 64, 65, 511, 512, 513, 1000])
-def test_distance_kernel_matches_dijkstra_on_every_source(size):
+def test_distance_kernel_matches_dijkstra_on_every_source(monkeypatch, size):
+    # the passes of the width rule, then passes of one word each
     g = scattered_graph(size, seed=size)
     count, labels = metrics.components(g)
     assert count > 1 and np.bincount(labels).max() == size < g.vertex_count
     member = metrics._largest_component(g, labels)
-    diameter, mu, sampled = metrics._distance_scan(g, labels=labels)
-    assert sampled is None
-    assert (diameter, mu) == dijkstra_scan(g, member)
+    expect = dijkstra_scan(g, member)
+    for _ in range(2):
+        diameter, mu, sampled = metrics._distance_scan(g, labels=labels)
+        assert sampled is None
+        assert (diameter, mu) == expect
+        one_word_passes(monkeypatch)
 
 
 @pytest.mark.parametrize("sources", [1, 63, 64, 65, 511, 512, 513, 1000])
@@ -290,10 +305,81 @@ def test_sampled_distance_kernel_matches_dijkstra(monkeypatch, sources):
     g = scattered_graph(1200, seed=sources)
     member = metrics._largest_component(g)
     pick = shuffled_range(len(member), 3)[:sources]
-    seeded = member[np.sort(np.array(pick))]
-    diameter, mu, sampled = metrics._distance_scan(g, seed=3)
-    assert sampled == sources
-    assert (diameter, mu) == dijkstra_scan(g, seeded)
+    expect = dijkstra_scan(g, member[np.sort(np.array(pick))])
+    for _ in range(2):
+        diameter, mu, sampled = metrics._distance_scan(g, seed=3)
+        assert sampled == sources
+        assert (diameter, mu) == expect
+        one_word_passes(monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "space, texts, sampled",
+    [
+        ("zn:4000", "x^2+1,x^2+2", False),  # 1,101 classes, 14 source weights
+        ("zn:3000", "2x,3x+1", False),  # no twins
+        ("zn:4000", "x^2+1,x^2+2", True),
+    ],
+)
+def test_full_report_does_not_depend_on_pass_width(monkeypatch, space, texts, sampled):
+    # the integer distance total and the largest eccentricity do not depend
+    # on how the sources are split into passes: the passes of the width
+    # rule, of one word each and one pass over every source agree byte for
+    # byte
+    if sampled:
+        monkeypatch.setattr(metrics, "EXACT_BFS_LIMIT", 64)
+    g = build_graph(family_from_texts(parse_space(space), texts))
+    bfs_pass, passes = metrics._bfs_pass, []
+
+    def counted(*args):
+        passes[-1] += 1
+        return bfs_pass(*args)
+
+    monkeypatch.setattr(metrics, "_bfs_pass", counted)
+    reports = []
+    for force in (None, one_word_passes, one_pass):
+        if force is not None:
+            force(monkeypatch)
+        passes.append(0)
+        reports.append(metrics.full_report(g).to_json())
+    assert reports[1] == reports[0] == reports[2]
+    assert json.loads(reports[0])["sampled_sources"] == (2048 if sampled else None)
+    assert passes[1] > 20 and passes[2] == 1 <= passes[0] < passes[1]
+
+
+def test_weighted_count_matches_per_bit_count():
+    # 12 runs of rows weighted up to 2^22 and the pad row Q of weight 0,
+    # under 3 runs of words weighted up to 2048
+    r = np.random.default_rng(11)
+    row_weight = np.repeat(r.integers(1, 1 << 22, 12), r.integers(1, 30, 12))
+    row_weight = np.append(row_weight, 0)
+    word_weight = np.repeat(np.array([1, 7, 2048]), [2, 3, 1])
+    top = np.iinfo(np.uint64).max
+    shape = (len(row_weight), len(word_weight))
+    bits = r.integers(0, top, shape, dtype=np.uint64, endpoint=True)
+    bits &= r.integers(0, top, shape, dtype=np.uint64, endpoint=True)
+    bits[-1] = 0
+    expect = sum(
+        int(row_weight[i]) * int(word_weight[j])
+        for i, j in np.ndindex(shape)
+        for b in range(64)
+        if int(bits[i, j]) >> b & 1
+    )
+    found = np.empty(shape, dtype=np.uint8)
+    assert metrics._weighted_count(bits, row_weight, word_weight, found) == expect
+    # on a 1 MiB frontier of 2^16 rows, the count holds no array near its
+    # size: einsum casts the popcounts a buffer at a time
+    bits = np.full((1 << 16, 2), top, dtype=np.uint64)
+    row_weight, word_weight = np.arange(1 << 16), np.array([1, 2])
+    found = np.empty(bits.shape, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        count = metrics._weighted_count(bits, row_weight, word_weight, found)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 3 * 64 * ((1 << 16) * ((1 << 16) - 1) // 2)
+    assert peak < bits.nbytes // 4
 
 
 def hub_graph(size: int, seed: int):
@@ -512,16 +598,17 @@ PINNED_2_17 = {
 }
 
 
-def test_full_report_at_2_17_fits_in_one_gib():
+def test_full_report_at_2_17_fits_in_288_mib():
     # the sampled path on zn:2^17 under an address-space limit set on the
-    # child only; one 512 x V float64 distance block is 512 MiB on its own
+    # child only; the smallest limit that fits, to 1 MiB, is 218 MiB, and
+    # 229 MiB with passes of 8 words and an allocated popcount each level
     code = (
         "from ringgraphs import graphs, maps, metrics, spaces\n"
         "space = spaces.parse_space('zn:131072')\n"
         "g = graphs.build_graph(maps.family_from_texts(space, 'x^2+1,x^2+2'))\n"
         "print(metrics.full_report(g).to_json(), end='')\n"
     )
-    assert json.loads(run_under_rlimit(code, "RLIMIT_AS", 1 << 30)) == PINNED_2_17
+    assert json.loads(run_under_rlimit(code, "RLIMIT_AS", 288 << 20)) == PINNED_2_17
 
 
 def test_euler_characteristic_at_2_20_fits_in_352_mib():
