@@ -58,9 +58,10 @@ from .graphs import SimpleGraph, neighbour_table, row_blocks, row_pointer, table
 
 EXACT_BFS_LIMIT = 1 << 16
 SAMPLE_SOURCES = 2048
-# vertices per block-diagonal chunk of a sweep (_sweep_chunks): large enough
-# that the per-call cost of scipy and of the triangle kernel is shared by
-# many small graphs, small enough that a sweep's working set stays a few MB
+# vertices per block-diagonal chunk of a sweep (_sweep_chunks), and entries
+# per chunk of the CA grid's contractions (survey._ca_cell_counts): large
+# enough that the per-call cost of scipy and of the triangle kernel is shared
+# by many small graphs, small enough that a sweep's working set stays a few MB
 _CHUNK_VERTICES = 1 << 16
 # the 64-source words of one distance-scan pass, a power of two: the most
 # whose pass fits in _PASS_BYTES, but at least _PASS_WORDS, and twice that
@@ -145,20 +146,34 @@ def _stacked(chunk: list) -> tuple[np.ndarray, np.ndarray, int]:
     return neighbour_table(columns, offset), block, len(chunk)
 
 
+def _raw_components(indices: np.ndarray, indptr: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count and labels of the graph whose CSR rows (indices,
+    indptr) join each row to its entries: one scipy call on the raw rows,
+    whose self-loops and parallel entries change no component, so they need
+    no sort."""
+    data = np.ones(len(indices))  # float64, which scipy would otherwise sort to cast
+    mat = csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+    return _scipy_components(mat, directed=False)
+
+
+def _block_counts(
+    indices: np.ndarray, indptr: np.ndarray, block: np.ndarray, count: int
+) -> np.ndarray:
+    """Component count of each of count graphs stacked block-diagonally in
+    the raw CSR rows (indices, indptr), row i belonging to graph block[i]."""
+    found, labels = _raw_components(indices, indptr)
+    owner = np.empty(found, dtype=np.int64)
+    owner[labels] = block  # no component spans two graphs
+    return np.bincount(owner, minlength=count)
+
+
 def component_counts(graphs) -> np.ndarray:
     """Component count of each graph of a sweep, equal to
-    components(build_graph(f))[0] for the family f behind it: one scipy call
-    per chunk of _sweep_chunks, on its raw table, whose self-loops and
-    parallel entries change no component count, so its CSR needs no sort."""
+    components(build_graph(f))[0] for the family f behind it: one
+    _block_counts per chunk of _sweep_chunks, on its raw table."""
     counts = [np.zeros(0, dtype=np.int64)]
     for table, block, count in _sweep_chunks(graphs):
-        data = np.ones(table.size)  # float64, which scipy would otherwise sort to cast
-        shape = (len(table),) * 2
-        mat = csr_matrix((data, table.ravel(), row_pointer(table)), shape=shape)
-        found, labels = _scipy_components(mat, directed=False)
-        owner = np.empty(found, dtype=np.int64)
-        owner[labels] = block  # no component spans two graphs
-        counts.append(np.bincount(owner, minlength=count))
+        counts.append(_block_counts(table.ravel(), row_pointer(table), block, count))
     return np.concatenate(counts)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 # importable because perfbench/spans.py traces survey's calls by these names
 from scipy.sparse.csgraph import connected_components as _scipy_components  # noqa: F401
 
-from . import rng
-from .graphs import build_graph, image_tables
+from . import metrics, rng
+from .graphs import build_graph, image_tables, row_pointer
 from .maps import (
     CARule,
     MapExpr,
@@ -144,12 +144,43 @@ def _orbit_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ca_cell_counts(width: int, keys: np.ndarray) -> np.ndarray:
-    """Component counts of the rule pairs (key // 256, key % 256)."""
+    """Component counts of the rule pairs (key // 256, key % 256), in the
+    order of keys.
+
+    The graph of a pair (a, b) is the union of the functional graphs of a
+    and b, so it has the components of its contraction: the graph on the
+    components of a, with one entry label_a[x] -> label_a[b(x)] per state x.
+    a's own edges already connect each of its components, so contracting
+    them changes no component count.  The keys come in runs of one first
+    rule a, whose one-map graph is labelled once per run.  The contraction
+    of each pair of the run has a's component count of vertices and one
+    entry per state; its rows follow a's components, so one stable argsort
+    of label_a orders the entries of every pair of the run.  The run's
+    contractions are stacked block-diagonally, at most
+    metrics._CHUNK_VERTICES entries (or one pair) to a chunk, and each chunk
+    is counted by metrics._block_counts."""
     space = BitVec(width)
-    tables = [image_table(CARule(r), space) for r in range(GRID_RULES)]
-    return component_counts(
-        (tables[a], tables[b]) for a, b in (divmod(k, GRID_RULES) for k in keys.tolist())
-    )
+    states = space.size
+    tables = np.empty((GRID_RULES, states), dtype=np.int32)
+    for r in range(GRID_RULES):
+        tables[r] = image_table(CARule(r), space)
+    first, second = np.divmod(keys, GRID_RULES)
+    per_chunk = max(1, metrics._CHUNK_VERTICES // states)
+    runs = np.flatnonzero(np.diff(first, prepend=-1, append=-1))
+    counts = [np.zeros(0, dtype=np.int64)]
+    for start, stop in zip(runs[:-1].tolist(), runs[1:].tolist()):
+        table = tables[first[start]]
+        found, label = metrics._raw_components(table, row_pointer(table[:, None]))
+        order = np.argsort(label, kind="stable")
+        row_start = np.searchsorted(label[order], np.arange(found)).astype(np.int32)
+        for lo in range(start, stop, per_chunk):
+            rules = second[lo : min(lo + per_chunk, stop)]
+            pairs = np.arange(len(rules), dtype=np.int32)[:, None]
+            indices = label[tables[np.ix_(rules, order)]] + found * pairs
+            indptr = np.append(row_start + states * pairs, np.int32(len(rules) * states))
+            block = np.repeat(pairs, found)
+            counts.append(metrics._block_counts(indices.ravel(), indptr, block, len(rules)))
+    return np.concatenate(counts)
 
 
 def ca_mandelbrot(width: int, workers: int = 1) -> LocusResult:

@@ -170,21 +170,62 @@ def test_ca_orbits_cover_the_pairs():
     assert np.array_equal(survey._orbit_keys(ra, rb), ra * 256 + rb)
 
 
-@pytest.mark.parametrize("width", [3, 4, 5, 6])
-def test_ca_grid_matches_the_unreduced_grid(width):
+def _rule_tables(width):
     from ringgraphs.maps import CARule, image_table
     from ringgraphs.spaces import BitVec
 
-    space = BitVec(width)
-    tables = [image_table(CARule(r), space) for r in range(256)]
-    a, b = np.triu_indices(256)
-    upper = metrics.component_counts(
-        (tables[i], tables[j]) for i, j in zip(a.tolist(), b.tolist())
+    return [image_table(CARule(r), BitVec(width)) for r in range(256)]
+
+
+def _pair_counts(tables, keys):
+    # the reference: each pair graph on its full image tables
+    return metrics.component_counts(
+        (tables[a], tables[b]) for a, b in (divmod(k, 256) for k in keys.tolist())
     )
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_ca_grid_matches_the_unreduced_grid(width, monkeypatch):
+    tables = _rule_tables(width)
+    a, b = np.triu_indices(256)
     want = np.zeros((256, 256), dtype=np.int64)
-    want[a, b] = want[b, a] = upper
-    got = np.array(survey.ca_mandelbrot(width).component_counts).reshape(256, 256)
-    assert np.array_equal(got, want)
+    want[a, b] = want[b, a] = _pair_counts(tables, a * 256 + b)
+    # the default chunk holds a rule's whole run of pairs; 100 entries split
+    # a run over chunks of a few pairs, 7 and 1 entries into one pair each
+    for chunk in (metrics._CHUNK_VERTICES, 100, 7, 1):
+        monkeypatch.setattr(metrics, "_CHUNK_VERTICES", chunk)
+        got = np.array(survey.ca_mandelbrot(width).component_counts).reshape(256, 256)
+        assert np.array_equal(got, want), chunk
+
+
+def test_ca_cell_counts_of_a_part_starting_inside_a_run():
+    # a worker's part of the representative keys can start and stop in the
+    # middle of a first rule's run of pairs
+    width = 5
+    tables = _rule_tables(width)
+    a, b = np.triu_indices(256)
+    keys = np.unique(survey._orbit_keys(a, b))
+    first = keys // 256
+    inside = np.flatnonzero(first[1:] == first[:-1]) + 1  # not the start of a run
+    lo, hi = inside[len(inside) // 3], inside[2 * len(inside) // 3]
+    part = keys[lo:hi]
+    assert first[lo - 1] == first[lo] and first[hi - 1] == first[hi]
+    assert np.array_equal(survey._ca_cell_counts(width, part), _pair_counts(tables, part))
+    # the counts follow the keys in any order, runs of one first rule or not
+    shuffled = np.random.default_rng(0).permutation(part)
+    assert np.array_equal(
+        survey._ca_cell_counts(width, shuffled), _pair_counts(tables, shuffled)
+    )
+
+
+@pytest.mark.parametrize("width", [3, 7])
+def test_ca_pairs_with_a_connected_first_rule_count_one(width):
+    # rule 0 sends every state to 0: its one component is its contraction's
+    # only vertex, whatever the second rule
+    keys = np.arange(256)
+    counts = survey._ca_cell_counts(width, keys)
+    assert (counts == 1).all()
+    assert np.array_equal(counts, _pair_counts(_rule_tables(width), keys))
 
 
 def test_ca_width_bounds():
