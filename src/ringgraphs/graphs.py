@@ -4,7 +4,11 @@ Distinct states x, y are joined iff some map sends one to the other.
 Self-loops are dropped and parallel images deduplicated, so the result is a
 plain undirected simple graph in compressed sorted-adjacency form.  The
 image tables become one int32 neighbour table, k entries per state, which
-table_graph canonicalises and the sweep kernel of metrics stacks.
+table_graph canonicalises.  The sweep kernel of metrics has fill_images
+write each graph's images straight into its rows of one chunk buffer,
+reused from chunk to chunk, so a chunk's table is valid only until the
+next chunk; loop_escapes turns the missing images of either table into
+self-loops.
 """
 
 from __future__ import annotations
@@ -80,14 +84,34 @@ def image_tables(family: MapFamily) -> list[np.ndarray]:
     return [image_table(m, family.space) for m in family.maps]
 
 
-def neighbour_table(tables: list[np.ndarray], offset=0) -> np.ndarray:
+def fill_images(family: MapFamily, rows: np.ndarray) -> None:
+    """Write the image table of map j of the family into column j of rows,
+    a (family.space.size, k) int32 view."""
+    for j, m in enumerate(family.maps):
+        image_table(m, family.space, out=rows[:, j])
+
+
+def loop_escapes(table: np.ndarray, start=None) -> None:
+    """In place, on a C-contiguous (V, k) int32 table of images, -1 where
+    an image is missing: add start (one int32 per entry, row-major) if
+    given, and make each missing image its row's own index, a self-loop.
+    The flat table is used because numpy's passes over a column, or
+    broadcast from one start per row, take several times longer at k = 2."""
+    flat = table.reshape(-1)
+    missing = np.flatnonzero(flat < 0)
+    if start is not None:
+        flat += start
+    flat[missing] = missing // table.shape[1]
+
+
+def neighbour_table(tables: list[np.ndarray]) -> np.ndarray:
     """The (V, k) int32 table of k image tables over V states: column j
-    holds map j's images plus offset, and a missing image (-1) becomes the
-    row's own vertex, a self-loop, so every vertex has exactly k entries."""
+    holds map j's images, and a missing image (-1) becomes the row's own
+    vertex (loop_escapes)."""
     table = np.empty((len(tables[0]), len(tables)), dtype=np.int32)
-    vertex = np.arange(len(table), dtype=np.int32)
     for j, img in enumerate(tables):
-        table[:, j] = np.where(img >= 0, img + offset, vertex)
+        table[:, j] = img
+    loop_escapes(table)
     return table
 
 

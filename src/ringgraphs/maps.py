@@ -356,15 +356,23 @@ _TABLE_CHUNK = 1 << 18
 
 
 def _power(x, e: int, one, mul):
-    """x^e by square-and-multiply over the bits of the Python int e."""
-    result = one
-    while e:
-        if e & 1:
+    """x^e by square-and-multiply over the bits of the Python int e, from
+    its top bit down, starting from x itself: one() gives x^0 for e = 0."""
+    if e == 0:
+        return one()
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
             result = mul(result, x)
-        e >>= 1
-        if e:
-            x = mul(x, x)
     return result
+
+
+def _mul_mod(u, v, n: int):
+    """u * v % n through one temporary, reduced in place."""
+    product = u * v
+    product %= n
+    return product
 
 
 def _exp(base: int, x: np.ndarray, n: int) -> np.ndarray:
@@ -390,16 +398,24 @@ def _mat_mul(x, y, n):
     )
 
 
-def image_table(expr: MapExpr, space: StateSpace) -> np.ndarray:
+def image_table(expr: MapExpr, space: StateSpace, out: np.ndarray | None = None) -> np.ndarray:
     """Image index (int32) of every state index; -1 where the image escapes the
     space (restricted residue subspaces only).  Tables are built in chunks
     of _TABLE_CHUNK states, so the columns stay bounded up to the cap.
-    A map that does not act on the space is a ValueError."""
+    Given out, a 1-D int32 array or view of one entry per state (a column
+    of a table may be strided), the images are written into it and out is
+    returned.  A map that does not act on the space is a ValueError."""
     _check_applicable(expr, space)
     size = space.size
+    if out is None:
+        if isinstance(expr, Perm):
+            return rng.shuffled_range(size, expr.seed)
+        out = np.empty(size, dtype=np.int32)
+    elif out.shape != (size,) or out.dtype != np.int32:
+        raise ValueError(f"out must be int32 of shape ({size},), not {out.dtype} {out.shape}")
     if isinstance(expr, Perm):
-        return rng.shuffled_range(size, expr.seed)
-    out = np.empty(size, dtype=np.int32)
+        out[:] = rng.shuffled_range(size, expr.seed)
+        return out
     for start in range(0, size, _TABLE_CHUNK):
         stop = min(start + _TABLE_CHUNK, size)
         x = space.digits(np.arange(start, stop, dtype=np.int64))
@@ -413,11 +429,21 @@ def _images(expr: MapExpr, space: StateSpace, x: tuple) -> tuple:
     if isinstance(space, ResidueSpace):
         n = space.n
         (r,) = x
+        # each image is one fresh array reduced in place, and a constant of
+        # 0 mod n is not added
         if isinstance(expr, Affine):
-            return ((expr.a % n * r + expr.b % n) % n,)
+            image = expr.a % n * r
+            if expr.b % n:
+                image += expr.b % n
+            image %= n
+            return (image,)
         if isinstance(expr, PowerPlus):
-            power = _power(r, expr.e, 1 % n, lambda u, v: u * v % n)
-            return ((power + expr.c % n) % n,)
+            power = _power(r, expr.e, lambda: 1 % n, lambda u, v: _mul_mod(u, v, n))
+            if expr.c % n == 0:  # the power is below n already
+                return (power,)
+            image = power + expr.c % n
+            image %= n
+            return (image,)
         if isinstance(expr, Exp):
             return (_exp(expr.base, r, n),)
         if isinstance(expr, Dickson):
@@ -441,8 +467,10 @@ def _images(expr: MapExpr, space: StateSpace, x: tuple) -> tuple:
             e = [v % n for v in expr.entries]
             return tuple((v + c) % n for v, c in zip(_mat_mul(x, x, n), e))
         # PowerPlus
-        zero = x[0] * 0
-        one = (zero + 1, zero, zero, zero + 1)
+        def one():
+            zero = x[0] * 0
+            return (zero + 1, zero, zero, zero + 1)
+
         a, b, c, d = _power(x, expr.e, one, lambda u, v: _mat_mul(u, v, n))
         cc = expr.c % n
         return ((a + cc) % n, b, c, (d + cc) % n)

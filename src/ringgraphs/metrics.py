@@ -54,7 +54,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from . import rng
-from .graphs import SimpleGraph, neighbour_table, row_blocks, row_pointer, table_graph
+from .graphs import SimpleGraph, fill_images, loop_escapes, row_blocks, row_pointer, table_graph
 
 EXACT_BFS_LIMIT = 1 << 16
 SAMPLE_SOURCES = 2048
@@ -119,31 +119,42 @@ def components(g: SimpleGraph) -> tuple[int, np.ndarray]:
     return _scipy_components(_as_sparse(g), directed=False)
 
 
-def _sweep_chunks(graphs):
-    """(table, block, count) of each block-diagonal chunk of a sweep of
-    graphs, each given as its image tables (one per map, the same number for
-    every graph): the graphs.neighbour_table of about _CHUNK_VERTICES vertices
-    of graphs, each offset by the vertices before it, the chunk's graph that
-    owns each row, and the number of graphs in the chunk."""
-    chunk, total = [], 0
-    for tables in graphs:
-        if chunk and len(tables) != len(chunk[0]):
+def _sweep_chunks(families):
+    """(table, block, count) of each block-diagonal chunk of a sweep of map
+    families (the same number of maps in each): the neighbour table of
+    about _CHUNK_VERTICES vertices of the families' graphs, each offset by
+    the vertices before it, the chunk's graph that owns each row, and the
+    number of graphs in the chunk.
+
+    The table is a view of one int32 buffer that the sweep reuses, valid
+    until the next chunk.  graphs.fill_images writes each graph's images
+    straight into its rows, and one graphs.loop_escapes per chunk offsets
+    them.  The buffer holds _CHUNK_VERTICES rows, or a larger graph's,
+    which takes a chunk of its own."""
+    buffer, sizes, total = None, [], 0
+    for family in families:
+        size, k = family.space.size, len(family.maps)
+        if buffer is not None and k != buffer.shape[1]:
             raise ValueError("every graph of a sweep needs the same number of maps")
-        if chunk and total + len(tables[0]) > _CHUNK_VERTICES:
-            yield _stacked(chunk)
-            chunk, total = [], 0
-        chunk.append(tables)
-        total += len(tables[0])
-    if chunk:
-        yield _stacked(chunk)
+        if sizes and total + size > _CHUNK_VERTICES:
+            yield _offset_chunk(buffer[:total], sizes)
+            sizes, total = [], 0
+        if buffer is None or size > len(buffer):
+            buffer = np.empty((max(size, _CHUNK_VERTICES), k), dtype=np.int32)
+        fill_images(family, buffer[total : total + size])
+        sizes.append(size)
+        total += size
+    if sizes:
+        yield _offset_chunk(buffer[:total], sizes)
 
 
-def _stacked(chunk: list) -> tuple[np.ndarray, np.ndarray, int]:
-    sizes = np.array([len(tables[0]) for tables in chunk], dtype=np.int64)
-    block = np.repeat(np.arange(len(chunk)), sizes)
-    offset = (np.cumsum(sizes) - sizes)[block]
-    columns = [np.concatenate(images) for images in zip(*chunk)]
-    return neighbour_table(columns, offset), block, len(chunk)
+def _offset_chunk(table: np.ndarray, sizes: list) -> tuple[np.ndarray, np.ndarray, int]:
+    """_sweep_chunks' chunk of the graphs of sizes, whose images fill
+    table: each graph's images moved past the graphs before it."""
+    sizes = np.array(sizes, dtype=np.int32)
+    start = np.cumsum(sizes, dtype=np.int32) - sizes
+    loop_escapes(table, np.repeat(start, sizes * table.shape[1]))
+    return table, np.repeat(np.arange(len(sizes)), sizes), len(sizes)
 
 
 def _raw_components(indices: np.ndarray, indptr: np.ndarray) -> tuple[int, np.ndarray]:
@@ -167,25 +178,25 @@ def _block_counts(
     return np.bincount(owner, minlength=count)
 
 
-def component_counts(graphs) -> np.ndarray:
-    """Component count of each graph of a sweep, equal to
-    components(build_graph(f))[0] for the family f behind it: one
-    _block_counts per chunk of _sweep_chunks, on its raw table."""
+def component_counts(families) -> np.ndarray:
+    """Component count of the graph of each map family of a sweep, equal
+    to components(build_graph(f))[0]: one _block_counts per chunk of
+    _sweep_chunks, on its raw table."""
     counts = [np.zeros(0, dtype=np.int64)]
-    for table, block, count in _sweep_chunks(graphs):
+    for table, block, count in _sweep_chunks(families):
         counts.append(_block_counts(table.ravel(), row_pointer(table), block, count))
     return np.concatenate(counts)
 
 
-def edge_triangle_counts(graphs) -> tuple[np.ndarray, np.ndarray]:
-    """(edges, triangles) of each graph of a sweep, equal to the edge_count
-    and triangle_count of build_graph(f) for the family f behind it.  Each
-    chunk of _sweep_chunks goes once through graphs.table_graph and
+def edge_triangle_counts(families) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, triangles) of the graph of each map family of a sweep, equal
+    to the edge_count and triangle_count of build_graph(f).  Each chunk of
+    _sweep_chunks goes once through graphs.table_graph and
     _edge_triangle_counts.  A graph's edges are half the degrees and its
     triangles a third of the triangle counts, each summed over its rows, one
     run of block."""
     edges, triangles = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for table, block, count in _sweep_chunks(graphs):
+    for table, block, count in _sweep_chunks(families):
         g = table_graph(table)
         at = _edge_triangle_counts(g)[1]
         rows = np.searchsorted(block, np.arange(count + 1))

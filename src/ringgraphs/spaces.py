@@ -91,11 +91,11 @@ class ResidueSpace(StateSpace):
         return self.n - self.first
 
     def digits(self, index) -> tuple:
-        return (index + self.first,)
+        return (index + self.first,) if self.first else (index,)
 
     def pack(self, digits):
         (residue,) = digits
-        return np.maximum(residue - self.first, -1)
+        return np.maximum(residue - self.first, -1) if self.first else residue
 
 
 class Zn(ResidueSpace):

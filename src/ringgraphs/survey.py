@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components as _scipy_components  # noqa: F401
 
 from . import metrics, rng
-from .graphs import build_graph, image_tables, row_pointer
+from .graphs import build_graph, row_pointer
 from .maps import (
     CARule,
     MapExpr,
@@ -95,8 +95,11 @@ def connectivity_locus(
     n_values = tuple(int(n) for n in n_values)
     if not n_values:
         raise ValueError("empty sweep range")
-    families = (MapFamily(maps, parse_space(f"{space_kind}:{n}")) for n in n_values)
-    counts = component_counts(image_tables(f) for f in families)
+    # the kind is parsed once: parse_space(f"{space_kind}:{n}") is the
+    # first space's class with the first space's other fields and n last
+    first = parse_space(f"{space_kind}:{n_values[0]}")
+    kind, prefix = type(first), [getattr(first, f.name) for f in fields(first)[:-1]]
+    counts = component_counts(MapFamily(maps, kind(*prefix, n)) for n in n_values)
     gen = (("space", space_kind), ("maps", ",".join(format_map(m) for m in maps)))
     return LocusResult(
         params=n_values,
@@ -111,7 +114,7 @@ def euler_sequence(n_max: int) -> tuple[int, ...]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     families = (MapFamily((PowerPlus(2, 0),), Zn(n)) for n in range(1, n_max + 1))
-    edges, triangles = edge_triangle_counts(image_tables(f) for f in families)
+    edges, triangles = edge_triangle_counts(families)
     return tuple((np.arange(1, n_max + 1) - edges + triangles).tolist())
 
 
@@ -163,7 +166,7 @@ def _ca_cell_counts(width: int, keys: np.ndarray) -> np.ndarray:
     states = space.size
     tables = np.empty((GRID_RULES, states), dtype=np.int32)
     for r in range(GRID_RULES):
-        tables[r] = image_table(CARule(r), space)
+        image_table(CARule(r), space, out=tables[r])
     first, second = np.divmod(keys, GRID_RULES)
     per_chunk = max(1, metrics._CHUNK_VERTICES // states)
     runs = np.flatnonzero(np.diff(first, prepend=-1, append=-1))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import build_graph, image_tables
+from .graphs import build_graph
 from .maps import Affine, MapFamily, MatQuad, PowerPlus, preset
 from .metrics import components, edge_triangle_counts
 from .numtheory import (
@@ -177,7 +177,7 @@ def verify_collatz_triangles(p_max: int) -> Verdict:
     if p_max < 19:
         raise ValueError("p_max must be >= 19")
     ns = [13] + [p for p in range(19, p_max + 1) if is_prime(p)]
-    _, found = edge_triangle_counts(image_tables(preset("collatz", n)) for n in ns)
+    _, found = edge_triangle_counts(preset("collatz", n) for n in ns)
     bad = [13] if found[0] != 6 else []
     bad += [f"p={p}:t={t}" for p, t in zip(ns[1:], found[1:].tolist()) if t != 4]
     agree = len(ns) - len(bad)

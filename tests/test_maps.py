@@ -466,33 +466,39 @@ def test_image_table_matches_oracle_on_drawn_states(space, exprs, data):
     assert_matches_oracle(table, expr, space, drawn + chunk_edges(space.size))
 
 
+# families that together use every map kind and every space kind, with
+# seeded permutations and images that escape the restricted residue spaces
+_TABLE_FAMILIES = [
+    MapFamily((MatQuad((1, -2, 2**70, 4)), PowerPlus(3, -1), Perm(5)), Mat2(3)),
+    MapFamily(
+        (MatQuad((-1, 2, -(2**66), 4)), PowerPlus(2, 2**64), PowerPlus(0, 1)),
+        UpperTri2(4),
+    ),
+    MapFamily(
+        (PolyDeriv(), PolySquare(), PolyAddConst((-1, 2**70, 3, 4, 5))),
+        PolyQuot(3, 4),
+    ),
+    MapFamily((CARule(30), CARule(110), CARule(0), Perm(-1)), BitVec(7)),
+    MapFamily((Affine(3, -1), PowerPlus(2**64 + 3, 2**70)), Zn(17)),
+    # a constant image x^0, the identity x^1, and constants of 0 mod n
+    MapFamily((PowerPlus(0, 0), PowerPlus(0, 3), PowerPlus(1, 0), Affine(1, 34)), Zn(17)),
+    # squares and doublings that escape to 0 and 1
+    MapFamily((PowerPlus(2, 0), Affine(2, -(2**66))), ZnNonzero(16)),
+    MapFamily((PowerPlus(2, -1), Affine(2, 0)), spaces.ZnFromTwo(18)),
+    MapFamily((PowerPlus(3, 1), Affine(5, 2), Perm(2)), spaces.ZnUnits(63)),
+    MapFamily((Dickson(),), Zn(50)),
+    MapFamily((Dickson(),), spaces.ZnUnits(60)),
+    MapFamily((WSMap(0.5, 1), WSMap(2.0, -3)), ZnNonzero(40)),
+    MapFamily((Exp(2), Exp(2**70 + 3)), spaces.ZnUnits(45)),
+]
+_TABLE_FAMILY_IDS = [
+    "mat2", "ut2", "poly", "bits", "zn", "zn-constants", "znz", "from2", "units",
+    "sigma", "units-sigma", "ws", "exp",
+]
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 7])
-@pytest.mark.parametrize(
-    "family",
-    [
-        MapFamily((MatQuad((1, -2, 2**70, 4)), PowerPlus(3, -1), Perm(5)), Mat2(3)),
-        MapFamily(
-            (MatQuad((-1, 2, -(2**66), 4)), PowerPlus(2, 2**64), PowerPlus(0, 1)),
-            UpperTri2(4),
-        ),
-        MapFamily(
-            (PolyDeriv(), PolySquare(), PolyAddConst((-1, 2**70, 3, 4, 5))),
-            PolyQuot(3, 4),
-        ),
-        MapFamily((CARule(30), CARule(110), CARule(0), Perm(-1)), BitVec(7)),
-        MapFamily((Affine(3, -1), PowerPlus(2**64 + 3, 2**70)), Zn(17)),
-        # squares and doublings that escape to 0 and 1
-        MapFamily((PowerPlus(2, 0), Affine(2, -(2**66))), ZnNonzero(16)),
-        MapFamily((PowerPlus(2, -1), Affine(2, 0)), spaces.ZnFromTwo(18)),
-        MapFamily((PowerPlus(3, 1), Affine(5, 2), Perm(2)), spaces.ZnUnits(63)),
-        MapFamily((Dickson(),), Zn(50)),
-        MapFamily((Dickson(),), spaces.ZnUnits(60)),
-        MapFamily((WSMap(0.5, 1), WSMap(2.0, -3)), ZnNonzero(40)),
-        MapFamily((Exp(2), Exp(2**70 + 3)), spaces.ZnUnits(45)),
-    ],
-    ids=["mat2", "ut2", "poly", "bits", "zn", "znz", "from2", "units", "sigma",
-         "units-sigma", "ws", "exp"],
-)
+@pytest.mark.parametrize("family", _TABLE_FAMILIES, ids=_TABLE_FAMILY_IDS)
 def test_image_table_across_chunk_edges(monkeypatch, family, chunk):
     whole = [image_table(m, family.space) for m in family.maps]
     monkeypatch.setattr(maps, "_TABLE_CHUNK", chunk)
@@ -500,6 +506,30 @@ def test_image_table_across_chunk_edges(monkeypatch, family, chunk):
         chunked = image_table(m, family.space)
         assert np.array_equal(chunked, table)
         assert_matches_oracle(chunked, m, family.space, range(family.space.size))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("family", _TABLE_FAMILIES, ids=_TABLE_FAMILY_IDS)
+def test_image_table_into_a_strided_column(monkeypatch, family, chunk):
+    # out= writes the table into column j of a (V, 3) array, a strided view,
+    # returns it and leaves the other columns as they were
+    whole = [image_table(m, family.space) for m in family.maps]
+    if chunk is not None:
+        monkeypatch.setattr(maps, "_TABLE_CHUNK", chunk)
+    for m, want in zip(family.maps, whole):
+        for j in range(3):
+            table = np.full((family.space.size, 3), -7, dtype=np.int32)
+            column = table[:, j]
+            assert image_table(m, family.space, out=column) is column
+            assert np.array_equal(table[:, j], want)
+            assert (np.delete(table, j, axis=1) == -7).all()
+
+
+@pytest.mark.parametrize("out", [np.empty(9, np.int32), np.empty(10, np.int64)])
+def test_image_table_rejects_a_misfit_out(out):
+    for m in (Affine(2, 1), Perm(3)):
+        with pytest.raises(ValueError, match="out must be int32 of shape"):
+            image_table(m, Zn(10), out=out)
 
 
 @pytest.mark.parametrize(

@@ -862,7 +862,7 @@ def union_find_count(tables) -> int:
 
 
 def assert_kernel_matches_both_routes(families):
-    got = metrics.component_counts(image_tables(f) for f in families)
+    got = metrics.component_counts(iter(families))
     per_graph = [metrics.components(build_graph(f))[0] for f in families]
     oracle = [union_find_count(image_tables(f)) for f in families]
     assert got.tolist() == per_graph == oracle
@@ -872,7 +872,7 @@ def assert_kernel_matches_both_routes(families):
 def assert_edges_and_triangles_match(families):
     """edge_triangle_counts against build_graph's edge count, and against
     brute_triangles, or triangle_count on graphs too large for it."""
-    edges, triangles = metrics.edge_triangle_counts(image_tables(f) for f in families)
+    edges, triangles = metrics.edge_triangle_counts(iter(families))
     built = [build_graph(f) for f in families]
     assert edges.tolist() == [g.edge_count for g in built]
     assert triangles.tolist() == [
@@ -893,7 +893,8 @@ def test_component_counts_on_restricted_spaces():
         assert_kernel_matches_both_routes([f for f in families if isinstance(f.space, kind)])
 
 
-def test_component_counts_on_size_zero_and_one():
+def test_component_counts_on_size_one_and_empty_sweeps():
+    # every family has at least one state; an empty sweep has no graph
     singles = [
         MapFamily((Affine(2, 0),), Zn(1)),
         MapFamily((Affine(2, 0),), ZnNonzero(2)),
@@ -901,17 +902,8 @@ def test_component_counts_on_size_zero_and_one():
         MapFamily((PowerPlus(2, 0),), Mat2(1)),
     ]
     assert_kernel_matches_both_routes(singles)
-    empty = (np.zeros(0, dtype=np.int64),)
     assert metrics.components(graph_from_edges(0, [], []))[0] == 0
-    assert union_find_count(empty) == 0
-    assert metrics.component_counts([empty]).tolist() == [0]
-    assert metrics.component_counts([empty, empty]).tolist() == [0, 0]
-    tables = [image_tables(f) for f in singles]
-    assert metrics.component_counts([empty, tables[0], empty]).tolist() == [0, 1, 0]
     assert metrics.component_counts([]).tolist() == []
-    for graphs in ([empty], [empty, empty], [empty, tables[0], empty]):
-        edges, triangles = metrics.edge_triangle_counts(graphs)
-        assert edges.tolist() == triangles.tolist() == [0] * len(graphs)
     assert [c.tolist() for c in metrics.edge_triangle_counts([])] == [[], []]
 
 
@@ -924,27 +916,39 @@ def test_component_counts_matrix_rings():
         ]
     )
     family = MapFamily((MatQuad((1, 2, 2, 4)),), Mat2(5))
-    assert metrics.component_counts([image_tables(family)]).tolist() == [5]
+    assert metrics.component_counts([family]).tolist() == [5]
 
 
 def test_component_counts_straddle_chunks(monkeypatch):
-    # sizes 1..80 against a 50-vertex chunk: graphs straddle block edges,
-    # several are larger than a chunk, and empty graphs sit between them
+    # sizes 1..80 against a 50-vertex chunk: graphs straddle block edges
+    # and several are larger than a chunk
     monkeypatch.setattr(metrics, "_CHUNK_VERTICES", 50)
     assert_kernel_matches_both_routes([preset("collatz", n) for n in range(1, 81)])
     families = [MapFamily((Affine(2, 0),), ZnNonzero(n)) for n in range(2, 81)]
     assert_kernel_matches_both_routes(families)
-    empty = (np.zeros(0, dtype=np.int64),)
-    graphs = [image_tables(f) for f in families[45:60]]
-    mixed = [g for pair in zip(graphs, [empty] * len(graphs)) for g in pair]
-    want = [metrics.components(build_graph(f))[0] for f in families[45:60]]
-    assert metrics.component_counts(mixed).tolist() == [
-        c for pair in zip(want, [0] * len(want)) for c in pair
-    ]
-    edges, triangles = metrics.edge_triangle_counts(mixed)
-    built = [build_graph(f) for f in families[45:60]]
-    assert edges.tolist() == [c for g in built for c in (g.edge_count, 0)]
-    assert triangles.tolist() == [c for g in built for c in (brute_triangles(g), 0)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50, None])
+def test_sweep_buffer_grows_for_a_graph_larger_than_a_chunk(monkeypatch, chunk):
+    # a graph larger than the chunk, between small ones: the reused chunk
+    # buffer grows for it and then serves the small graphs after it, whose
+    # rows must hold none of the large graph's images
+    if chunk is not None:
+        monkeypatch.setattr(metrics, "_CHUNK_VERTICES", chunk)
+    large = metrics._CHUNK_VERTICES + 37
+    for maps, kind in (
+        ((Affine(2, 0), Affine(3, 1)), Zn),
+        ((PowerPlus(2, 0), PowerPlus(3, 0)), ZnNonzero),
+    ):
+        ns = [5, 6, large, 3, 7, large + 20, 2, 9]
+        families = [MapFamily(maps, kind(n)) for n in ns]
+        got = metrics.component_counts(iter(families)).tolist()
+        assert got == [metrics.components(build_graph(f))[0] for f in families]
+        assert got == [union_find_count(image_tables(f)) for f in families]
+        edges, triangles = metrics.edge_triangle_counts(iter(families))
+        built = [build_graph(f) for f in families]
+        assert edges.tolist() == [g.edge_count for g in built]
+        assert triangles.tolist() == [metrics.triangle_count(g) for g in built]
 
 
 def test_component_counts_at_the_real_chunk_size():
@@ -956,35 +960,34 @@ def test_component_counts_at_the_real_chunk_size():
         MapFamily((PowerPlus(3, 0),), ZnNonzero(chunk + 1001)),
         MapFamily((Affine(2, 0),), Zn(12)),
     ]
-    got = metrics.component_counts(image_tables(f) for f in families)
+    got = metrics.component_counts(iter(families))
     assert got.tolist() == [metrics.components(build_graph(f))[0] for f in families]
     assert_edges_and_triangles_match(families)
 
 
 def test_component_counts_need_one_map_count_per_sweep():
-    one = image_tables(MapFamily((Affine(2, 0),), Zn(8)))
-    two = image_tables(preset("collatz", 8))
-    for graphs in ([one, two], [two, one]):
+    one = MapFamily((Affine(2, 0),), Zn(8))
+    two = preset("collatz", 8)
+    for families in ([one, two], [two, one]):
         for kernel in (metrics.component_counts, metrics.edge_triangle_counts):
             with pytest.raises(ValueError, match="same number of maps"):
-                kernel(graphs)
+                kernel(families)
 
 
 def test_component_counts_do_not_depend_on_block_order():
     families = [MapFamily((PowerPlus(2, 0),), Zn(n)) for n in range(1, 200)]
     families += [MapFamily((Affine(2, 0),), ZnNonzero(n)) for n in range(2, 200)]
-    tables = [image_tables(f) for f in families]
-    base = metrics.component_counts(tables)
-    order = np.random.default_rng(7).permutation(len(tables))
-    shuffled = metrics.component_counts([tables[i] for i in order])
+    base = metrics.component_counts(families)
+    order = np.random.default_rng(7).permutation(len(families))
+    shuffled = metrics.component_counts([families[i] for i in order])
     assert shuffled.tolist() == base[order].tolist()
-    reverse = metrics.component_counts(tables[::-1])
+    reverse = metrics.component_counts(families[::-1])
     assert reverse.tolist() == base[::-1].tolist()
-    base = np.array(metrics.edge_triangle_counts(tables))
+    base = np.array(metrics.edge_triangle_counts(families))
     assert base[1].any()
-    shuffled = metrics.edge_triangle_counts([tables[i] for i in order])
+    shuffled = metrics.edge_triangle_counts([families[i] for i in order])
     assert np.array(shuffled).tolist() == base[:, order].tolist()
-    reverse = metrics.edge_triangle_counts(tables[::-1])
+    reverse = metrics.edge_triangle_counts(families[::-1])
     assert np.array(reverse).tolist() == base[:, ::-1].tolist()
 
 

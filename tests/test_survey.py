@@ -2,11 +2,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ringgraphs import metrics, survey
 from ringgraphs.graphs import build_graph
 from ringgraphs.maps import Affine, MapFamily, Perm, PowerPlus, parse_maps
-from ringgraphs.spaces import Zn
+from ringgraphs.spaces import Zn, parse_space
 
 EULER_23 = (1, 2, 2, 2, 2, 4, 3, 2, 3, 4, 2, 4, 3, 6, 4, 2, 2, 6, 3, 4, 6, 4, 2)
 
@@ -45,6 +47,24 @@ def test_locus_csv_format():
     assert lines[0] == "param,components,connected"
     assert lines[1] == "1,1,1"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize(
+    "maps,space_kind,ns",
+    [
+        ("x^2,x^3", "znz", range(2, 40)),
+        ("2x,3x+1", "zn", range(1, 40)),
+        ("x^2+1", "mat2", range(1, 6)),
+        ("deriv,square", "poly:3", range(1, 5)),
+        ("ca:30", "bits", range(3, 8)),
+    ],
+)
+def test_locus_matches_each_parsed_space(maps, space_kind, ns):
+    # the space kind is parsed once; each n must still get the space that
+    # parse_space(f"{space_kind}:{n}") gives, fields before n included
+    got = survey.connectivity_locus(parse_maps(maps), space_kind, ns).component_counts
+    families = [MapFamily(parse_maps(maps), parse_space(f"{space_kind}:{n}")) for n in ns]
+    assert list(got) == [metrics.components(build_graph(f))[0] for f in families]
 
 
 def test_locus_rejects_empty_range():
@@ -174,14 +194,27 @@ def _rule_tables(width):
     from ringgraphs.maps import CARule, image_table
     from ringgraphs.spaces import BitVec
 
-    return [image_table(CARule(r), BitVec(width)) for r in range(256)]
+    return np.array([image_table(CARule(r), BitVec(width)) for r in range(256)])
 
 
-def _pair_counts(tables, keys):
-    # the reference: each pair graph on its full image tables
-    return metrics.component_counts(
-        (tables[a], tables[b]) for a, b in (divmod(k, 256) for k in keys.tolist())
-    )
+def _pair_counts(tables, keys, per_call=1024):
+    # the reference: each pair graph (a, b) on its full image tables, with
+    # per_call pair graphs stacked block-diagonally in one scipy call; it
+    # shares no code with the sweep kernel
+    states = tables.shape[1]
+    counts = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(keys), per_call):
+        a, b = np.divmod(keys[lo : lo + per_call], 256)
+        rows = np.arange(len(a) * states).reshape(len(a), states)
+        offset = rows[:, :1]
+        src = np.concatenate([rows, rows]).ravel()
+        dst = np.concatenate([tables[a] + offset, tables[b] + offset]).ravel()
+        mat = coo_matrix((np.ones(len(src)), (src, dst)), shape=(rows.size,) * 2)
+        found, labels = connected_components(mat, directed=False)
+        owner = np.empty(found, dtype=np.int64)
+        owner[labels.reshape(rows.shape)] = np.arange(len(a))[:, None]
+        counts.append(np.bincount(owner, minlength=len(a)))
+    return np.concatenate(counts)
 
 
 @pytest.mark.parametrize("width", [3, 4, 5, 6])
