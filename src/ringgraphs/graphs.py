@@ -4,11 +4,12 @@ Distinct states x, y are joined iff some map sends one to the other.
 Self-loops are dropped and parallel images deduplicated, so the result is a
 plain undirected simple graph in compressed sorted-adjacency form.  The
 image tables become one int32 neighbour table, k entries per state, which
-table_graph canonicalises.  The sweep kernel of metrics has fill_images
-write each graph's images straight into its rows of one chunk buffer,
-reused from chunk to chunk, so a chunk's table is valid only until the
-next chunk; loop_escapes turns the missing images of either table into
-self-loops.
+table_graph canonicalises.  build_graph stacks one graph's tables.  The
+sweep kernel of metrics has fill_images write each graph's images straight
+into its rows of one chunk buffer, reused from chunk to chunk, so a chunk's
+table is valid only until the next chunk; a chunk is that table and the
+vertex count of each graph in it.  loop_escapes turns the missing images of
+either table into self-loops.
 """
 
 from __future__ import annotations
@@ -79,11 +80,6 @@ def _simple_graph(adjacency: csr_matrix) -> SimpleGraph:
     return SimpleGraph(adjacency.shape[0], both.indptr, both.indices, both.nnz // 2)
 
 
-def image_tables(family: MapFamily) -> list[np.ndarray]:
-    """One image table per map of the family, -1 where there is no image."""
-    return [image_table(m, family.space) for m in family.maps]
-
-
 def fill_images(family: MapFamily, rows: np.ndarray) -> None:
     """Write the image table of map j of the family into column j of rows,
     a (family.space.size, k) int32 view."""
@@ -102,17 +98,6 @@ def loop_escapes(table: np.ndarray, start=None) -> None:
     if start is not None:
         flat += start
     flat[missing] = missing // table.shape[1]
-
-
-def neighbour_table(tables: list[np.ndarray]) -> np.ndarray:
-    """The (V, k) int32 table of k image tables over V states: column j
-    holds map j's images, and a missing image (-1) becomes the row's own
-    vertex (loop_escapes)."""
-    table = np.empty((len(tables[0]), len(tables)), dtype=np.int32)
-    for j, img in enumerate(tables):
-        table[:, j] = img
-    loop_escapes(table)
-    return table
 
 
 def row_pointer(table: np.ndarray) -> np.ndarray:
@@ -135,8 +120,12 @@ def table_graph(table: np.ndarray) -> SimpleGraph:
 
 def build_graph(family: MapFamily) -> SimpleGraph:
     """Vertex i ~ vertex j (i != j) iff some map sends state i to state j or
-    state j to state i."""
-    return table_graph(neighbour_table(image_tables(family)))
+    state j to state i.  The maps' image tables are stacked into one (V, k)
+    neighbour table, column j for map j, whose missing images loop_escapes
+    turns into self-loops."""
+    table = np.column_stack([image_table(m, family.space) for m in family.maps])
+    loop_escapes(table)
+    return table_graph(table)
 
 
 # CSR entries per row block of the export and of the triangle kernel, rows

@@ -1,6 +1,10 @@
 """Graph statistics: components, diameter, characteristic path length,
 clustering, triangles, Euler characteristic, degrees.
 
+Every component count is one scipy call on CSR rows, _raw_components: a
+graph's own, or a sweep chunk's (_sweep_chunks), a (table, sizes) pair of
+graphs stacked block-diagonally in runs of rows.
+
 Path statistics are computed over the largest component, of m vertices, by
 a bit-parallel BFS: each pass walks 64 sources per uint64 word of every
 vertex.  The BFS runs over the graph of representatives: the vertices with
@@ -104,27 +108,19 @@ class StatsReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _as_sparse(g: SimpleGraph, dtype=np.float64) -> csr_matrix:
-    # float64 by default, which scipy's graph routines would otherwise copy to cast
-    data = np.ones(len(g.indices), dtype=dtype)
-    return csr_matrix(
-        (data, g.indices, g.indptr), shape=(g.vertex_count, g.vertex_count)
-    )
-
-
 def components(g: SimpleGraph) -> tuple[int, np.ndarray]:
     """Component count and a per-vertex label array."""
     if g.vertex_count == 0:
         return 0, np.empty(0, dtype=np.int32)
-    return _scipy_components(_as_sparse(g), directed=False)
+    return _raw_components(g.indices, g.indptr)
 
 
 def _sweep_chunks(families):
-    """(table, block, count) of each block-diagonal chunk of a sweep of map
+    """(table, sizes) of each block-diagonal chunk of a sweep of map
     families (the same number of maps in each): the neighbour table of
     about _CHUNK_VERTICES vertices of the families' graphs, each offset by
-    the vertices before it, the chunk's graph that owns each row, and the
-    number of graphs in the chunk.
+    the vertices before it, and the int32 vertex count of each graph in the
+    chunk, whose rows follow one another in the table.
 
     The table is a view of one int32 buffer that the sweep reuses, valid
     until the next chunk.  graphs.fill_images writes each graph's images
@@ -148,34 +144,33 @@ def _sweep_chunks(families):
         yield _offset_chunk(buffer[:total], sizes)
 
 
-def _offset_chunk(table: np.ndarray, sizes: list) -> tuple[np.ndarray, np.ndarray, int]:
+def _offset_chunk(table: np.ndarray, sizes: list) -> tuple[np.ndarray, np.ndarray]:
     """_sweep_chunks' chunk of the graphs of sizes, whose images fill
     table: each graph's images moved past the graphs before it."""
     sizes = np.array(sizes, dtype=np.int32)
     start = np.cumsum(sizes, dtype=np.int32) - sizes
     loop_escapes(table, np.repeat(start, sizes * table.shape[1]))
-    return table, np.repeat(np.arange(len(sizes)), sizes), len(sizes)
+    return table, sizes
 
 
 def _raw_components(indices: np.ndarray, indptr: np.ndarray) -> tuple[int, np.ndarray]:
     """Component count and labels of the graph whose CSR rows (indices,
-    indptr) join each row to its entries: one scipy call on the raw rows,
-    whose self-loops and parallel entries change no component, so they need
-    no sort."""
-    data = np.ones(len(indices))  # float64, which scipy would otherwise sort to cast
+    indptr) join each row to its entries: the one scipy call behind every
+    component count.  The rows may be raw: self-loops and parallel entries
+    change no component, so they need no sort."""
+    data = np.ones(len(indices))  # float64, which scipy would otherwise copy to cast
     mat = csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
     return _scipy_components(mat, directed=False)
 
 
-def _block_counts(
-    indices: np.ndarray, indptr: np.ndarray, block: np.ndarray, count: int
-) -> np.ndarray:
-    """Component count of each of count graphs stacked block-diagonally in
-    the raw CSR rows (indices, indptr), row i belonging to graph block[i]."""
+def _block_counts(indices: np.ndarray, indptr: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Component count of each graph stacked block-diagonally in the raw CSR
+    rows (indices, indptr), graph j owning the sizes[j] rows after those of
+    the graphs before it."""
     found, labels = _raw_components(indices, indptr)
     owner = np.empty(found, dtype=np.int64)
-    owner[labels] = block  # no component spans two graphs
-    return np.bincount(owner, minlength=count)
+    owner[labels] = np.repeat(np.arange(len(sizes)), sizes)  # no component spans two graphs
+    return np.bincount(owner, minlength=len(sizes))
 
 
 def component_counts(families) -> np.ndarray:
@@ -183,8 +178,8 @@ def component_counts(families) -> np.ndarray:
     to components(build_graph(f))[0]: one _block_counts per chunk of
     _sweep_chunks, on its raw table."""
     counts = [np.zeros(0, dtype=np.int64)]
-    for table, block, count in _sweep_chunks(families):
-        counts.append(_block_counts(table.ravel(), row_pointer(table), block, count))
+    for table, sizes in _sweep_chunks(families):
+        counts.append(_block_counts(table.ravel(), row_pointer(table), sizes))
     return np.concatenate(counts)
 
 
@@ -193,15 +188,16 @@ def edge_triangle_counts(families) -> tuple[np.ndarray, np.ndarray]:
     to the edge_count and triangle_count of build_graph(f).  Each chunk of
     _sweep_chunks goes once through graphs.table_graph and
     _edge_triangle_counts.  A graph's edges are half the degrees and its
-    triangles a third of the triangle counts, each summed over its rows, one
-    run of block."""
+    triangles a third of the triangle counts, each summed over its run of
+    rows by np.add.reduceat, which no empty run misleads: every space has
+    a state."""
     edges, triangles = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for table, block, count in _sweep_chunks(families):
+    for table, sizes in _sweep_chunks(families):
         g = table_graph(table)
         at = _edge_triangle_counts(g)[1]
-        rows = np.searchsorted(block, np.arange(count + 1))
+        starts = np.cumsum(sizes, dtype=np.int64) - sizes
         for out, per_row, share in ((edges, g.degrees(), 2), (triangles, at, 3)):
-            out.append(np.diff(np.concatenate([[0], np.cumsum(per_row)])[rows]) // share)
+            out.append(np.add.reduceat(per_row, starts, dtype=np.int64) // share)
     return np.concatenate(edges), np.concatenate(triangles)
 
 
@@ -334,7 +330,8 @@ def _representatives(g: SimpleGraph, member: np.ndarray):
     cls[vertex] = label[vertex[first]][run]
     del label, run, vertex, first, is_rep
     size = np.bincount(cls[member])
-    induced = _as_sparse(g, np.int8)[reps][:, reps]
+    ones = np.ones(len(g.indices), dtype=np.int8)
+    induced = csr_matrix((ones, g.indices, g.indptr), shape=(g.vertex_count,) * 2)[reps][:, reps]
     return cls, size, *_degree_slabs(induced.indptr, induced.indices, size)
 
 

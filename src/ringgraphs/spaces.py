@@ -134,20 +134,25 @@ class ZnUnits(ResidueSpace):
         each word, n/8 + n/16 bytes where an index per residue took 4n.
         int32 holds the residues and counts: n is below 2^31 when the space
         is under the cap."""
-        unit = np.zeros(-self.n % 64 + self.n, dtype=bool)
-        unit[: self.n] = True
-        for p in factorize(self.n).primes():
-            unit[::p] = False
-        # little-endian bit and byte order whatever the platform's
-        words = np.packbits(unit, bitorder="little").view("<u8").astype(np.uint64)
+        primes = factorize(self.n).primes()
+        words = np.empty(-(-self.n // 64), dtype=np.uint64)
+        members = np.empty(self.size, dtype=np.int32)
+        # mask, words and members in one pass over blocks of residues, a
+        # multiple of 64, so that no mask of the whole range is held
+        block, count = 1 << 20, 0
+        for lo in range(0, 64 * len(words), block):
+            unit = np.zeros(min(block, 64 * len(words) - lo), dtype=bool)
+            unit[: self.n - lo] = True
+            for p in primes:
+                unit[-lo % p :: p] = False
+            # little-endian bit and byte order whatever the platform's
+            packed = np.packbits(unit, bitorder="little").view("<u8")
+            words[lo // 64 : lo // 64 + len(packed)] = packed
+            found = np.flatnonzero(unit)
+            members[count : count + len(found)] = found + lo
+            count += len(found)
         before = np.zeros(len(words), dtype=np.int32)
         np.cumsum(np.bitwise_count(words[:-1]), dtype=np.int32, out=before[1:])
-        # the members a block of words at a time: flatnonzero gives int64
-        members = np.empty(self.size, dtype=np.int32)
-        block = 1 << 14
-        for w in range(0, len(words), block):
-            found = np.flatnonzero(unit[w * 64 : (w + block) * 64]) + w * 64
-            members[before[w] : before[w] + len(found)] = found
         return members, words, before
 
     def digits(self, index) -> tuple:

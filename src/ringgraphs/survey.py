@@ -9,6 +9,7 @@ All sweeps are deterministic; seeded experiments reproduce bit-for-bit from
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -181,8 +182,8 @@ def _ca_cell_counts(width: int, keys: np.ndarray) -> np.ndarray:
             pairs = np.arange(len(rules), dtype=np.int32)[:, None]
             indices = label[tables[np.ix_(rules, order)]] + found * pairs
             indptr = np.append(row_start + states * pairs, np.int32(len(rules) * states))
-            block = np.repeat(pairs, found)
-            counts.append(metrics._block_counts(indices.ravel(), indptr, block, len(rules)))
+            sizes = np.full(len(rules), found)
+            counts.append(metrics._block_counts(indices.ravel(), indptr, sizes))
     return np.concatenate(counts)
 
 
@@ -212,7 +213,7 @@ def ca_mandelbrot(width: int, workers: int = 1) -> LocusResult:
             )
     full = np.zeros((GRID_RULES, GRID_RULES), dtype=np.int32)
     full[a, b] = full[b, a] = key_counts[cell_key]
-    params = tuple((a, b) for a in range(GRID_RULES) for b in range(GRID_RULES))
+    params = tuple(itertools.product(range(GRID_RULES), repeat=2))
     return LocusResult(
         params=params,
         component_counts=tuple(full.ravel().tolist()),

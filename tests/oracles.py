@@ -10,7 +10,9 @@ that order out per space kind, and `apply` applies one map to one state.
 Nothing here uses the package's table, digit, payload or shuffle code; the
 seeded shuffle that defines the perm maps and the sampled distance sources
 is written out below one splitmix64 draw at a time.  The parse of a
-run's comment header back into its argument vector lives here too.
+run's comment header back into its argument vector lives here too, and so
+does image_tables, the one use of the package's tables here: a family's
+per-map tables, which the tests hand to the union-find and sorting oracles.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ from itertools import islice
 from math import floor, gcd
 from typing import Any, Iterator
 
+import numpy as np
+
 from ringgraphs.maps import (
     Affine,
     CARule,
     Dickson,
     Exp,
     MapExpr,
+    MapFamily,
     MatQuad,
     Perm,
     PolyAddConst,
@@ -36,6 +41,7 @@ from ringgraphs.maps import (
     PowerPlus,
     WSMap,
     format_map,
+    image_table,
 )
 from ringgraphs.cli import RunConfig
 from ringgraphs.graphs import SimpleGraph
@@ -343,6 +349,11 @@ def apply(expr: MapExpr, state: State) -> State | None:
 
 
 # -- components ---------------------------------------------------------------
+
+
+def image_tables(family: MapFamily) -> list[np.ndarray]:
+    """One image table per map of the family, -1 where there is no image."""
+    return [image_table(m, family.space) for m in family.maps]
 
 
 def neighbor_array(g: SimpleGraph, v: int):

@@ -18,7 +18,7 @@ from conftest import (
     run_under_rlimit,
     sorted_csr,
 )
-from oracles import enumerate_states, neighbor_array
+from oracles import enumerate_states, image_tables, neighbor_array
 
 
 def test_doubling_on_z4():
@@ -158,7 +158,7 @@ def assert_matches_sort_oracle(vertex_count, us, vs, g=None):
 
 def family_pairs(family):
     src = np.arange(family.space.size, dtype=np.int64)
-    tables = graphs.image_tables(family)
+    tables = image_tables(family)
     return (
         family.space.size,
         np.concatenate([src[t >= 0] for t in tables]),
@@ -335,7 +335,7 @@ def test_build_graph_matches_edge_route(family, escapes):
     # the regular-table route of build_graph against graph_from_edges on the
     # same pairs and against the sorting oracle
     if escapes:
-        assert any((t < 0).any() for t in graphs.image_tables(family))
+        assert any((t < 0).any() for t in image_tables(family))
     pairs = family_pairs(family)
     assert_matches_sort_oracle(*pairs)
     assert_matches_sort_oracle(*pairs, g=build_graph(family))
@@ -344,7 +344,8 @@ def test_build_graph_matches_edge_route(family, escapes):
 def test_row_pointer_is_int32_until_it_would_wrap():
     # scipy keeps an int32 row pointer and the table as they are
     family = preset("collatz", 1000)
-    table = graphs.neighbour_table(graphs.image_tables(family))
+    table = np.column_stack(image_tables(family))
+    graphs.loop_escapes(table)
     indptr = graphs.row_pointer(table)
     mat = csr_matrix((table.ravel() >= 0, table.ravel(), indptr), shape=(1000, 1000))
     assert mat.indptr is indptr and np.shares_memory(mat.indices, table)
@@ -379,11 +380,37 @@ def test_build_graph_at_2_22_fits_in_456_mib_of_address_space():
     assert got == f"8388605 {_BUILD_2_22_SHA256}\n"
 
 
-def test_components_hand_scipy_the_graph_arrays():
+def test_components_hand_scipy_the_graph_arrays(monkeypatch):
+    # the matrices scipy is given share their indices with the graph, or
+    # with the sweep's chunk buffer, and their row pointer is int32
+    given, tables = [], []
+    scipy_components, offset_chunk = metrics._scipy_components, metrics._offset_chunk
+
+    def capture(mat, **kwargs):
+        given.append(mat)
+        return scipy_components(mat, **kwargs)
+
+    def capture_table(table, sizes):
+        tables.append(table)
+        return offset_chunk(table, sizes)
+
+    monkeypatch.setattr(metrics, "_scipy_components", capture)
+    monkeypatch.setattr(metrics, "_offset_chunk", capture_table)
     g = build_graph(preset("collatz", 1000))
-    mat = metrics._as_sparse(g)
+    metrics.components(g)
+    (mat,) = given
     assert np.shares_memory(mat.indices, g.indices)
     assert np.shares_memory(mat.indptr, g.indptr)
+    # several chunks of a sweep; scipy copies indices that view less than
+    # half of their base array (sputils._prune_array), so each of these
+    # chunks fills more than half of the 500-row buffer
+    monkeypatch.setattr(metrics, "_CHUNK_VERTICES", 500)
+    given.clear()
+    metrics.component_counts([preset("collatz", n) for n in range(2, 100)])
+    assert len(given) == len(tables) > 2
+    for mat, table in zip(given, tables):
+        assert np.shares_memory(mat.indices, table)
+        assert mat.indptr.dtype == np.int32
 
 
 def test_vertex_count_above_cap_rejected_before_allocating():

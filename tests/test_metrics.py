@@ -9,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ringgraphs import graphs, metrics, survey
-from ringgraphs.graphs import build_graph, graph_from_edges, image_tables
+from ringgraphs.graphs import build_graph, graph_from_edges
 from ringgraphs.maps import (
     Affine,
     CARule,
@@ -38,7 +38,7 @@ from conftest import (
     loop_vertex_triangle_counts,
     run_under_rlimit,
 )
-from oracles import UnionFind, neighbor_array, shuffled_range, twin_classes
+from oracles import UnionFind, image_tables, neighbor_array, shuffled_range, twin_classes
 
 
 def path3():

@@ -228,6 +228,19 @@ def test_units_rank_lookup_matches_oracle(n):
     assert members.tolist() == [state_at(space, i).payload for i in range(space.size)]
 
 
+def test_units_layout_across_its_blocks():
+    # the layout is built one block of 2^20 residues at a time; 2*3*5^2*7*
+    # 11*13*17 spans three blocks, and its members and ranks are checked
+    # at every residue against gcd and a running count
+    n = 2552550
+    space = ZnUnits(n)
+    residues = np.arange(n, dtype=np.int64)
+    unit = np.gcd(residues, n) == 1
+    members = space.digits(np.arange(space.size, dtype=np.int64))[0]
+    assert np.array_equal(members, np.flatnonzero(unit))
+    assert np.array_equal(space.pack((residues,)), np.where(unit, np.cumsum(unit) - 1, -1))
+
+
 def test_units_equal_nonzero_for_primes():
     for p in (2, 3, 5, 7, 11, 13):
         units = [s.payload for s in enumerate_states(ZnUnits(p))]
