@@ -1,35 +1,45 @@
 """Integer predicates and sequences: primality, factorization, divisor sums,
 primitive roots, Fermat/Pierpont-style primes, smooth and double-smooth sets.
 
-One smallest-prime-factor sieve below 2^20 is built on first use and cached.
-Above it, primality is Miller-Rabin on thirteen bases, exact below psi_13 =
-3,317,044,064,679,887,385,961,981, and factorization is one walk that strips
-the sieve primes from a composite, or splits it at a rho factor.  The rest
-are pure functions.
+One smallest-prime-factor sieve is kept, built only as far as the values
+asked (a power of two from 2^10 up to 2^20) and rebuilt larger when a larger
+value comes.  Above 2^20, primality is Miller-Rabin on thirteen bases, exact
+below psi_13 = 3,317,044,064,679,887,385,961,981, and factorization is one
+walk that strips the sieve primes from a composite, or splits it at a rho
+factor.  The rest are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt, log
 
 import numpy as np
 
 SIEVE_LIMIT = 1 << 20
+_SIEVE_MIN = 1 << 10
+_SIEVE: tuple[np.ndarray, np.ndarray] | None = None
 
 
-@cache
-def _sieve() -> tuple[np.ndarray, np.ndarray]:
-    """Smallest prime factors below SIEVE_LIMIT (0 for n < 2), and the primes."""
-    spf = np.zeros(SIEVE_LIMIT, dtype=np.int32)
-    for p in range(2, isqrt(SIEVE_LIMIT - 1) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    primes = np.flatnonzero(spf == 0)[2:]
-    spf[primes] = primes
-    return spf, primes
+def _sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kept smallest-prime-factor table (0 for n < 2) and its primes.
+
+    The table covers the smallest power of two >= limit, at least 2^10 and
+    at most SIEVE_LIMIT; a kept table that falls short is rebuilt at that
+    size, so a smaller limit reuses the larger table."""
+    global _SIEVE
+    size = min(max(1 << (limit - 1).bit_length(), _SIEVE_MIN), SIEVE_LIMIT)
+    if _SIEVE is None or len(_SIEVE[0]) < size:
+        spf = np.zeros(size, dtype=np.int32)
+        for p in range(2, isqrt(size - 1) + 1):
+            if spf[p] == 0:
+                block = spf[p * p :: p]
+                block[block == 0] = p
+        primes = np.flatnonzero(spf == 0)[2:]
+        spf[primes] = primes
+        _SIEVE = spf, primes
+    return _SIEVE
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -82,7 +92,7 @@ def is_prime(n: int) -> bool:
     if n < 1:
         raise ValueError("is_prime expects a positive integer")
     if n < SIEVE_LIMIT:
-        return bool(_sieve()[0][n] == n)
+        return bool(_sieve(n + 1)[0][n] == n)
     if n % 2 == 0 or not _miller_rabin(n):
         return False
     if n >= _PSI_13:
@@ -133,10 +143,12 @@ def factorize(n: int) -> PrimeFactorization:
     """Full prime factorization by a stack of cofactors: below 2^20 a walk
     down the sieve; above it a prime counts once, and a composite loses
     every sieve prime that divides it, or with none splits at a rho factor.
-    A cofactor that is_prime cannot decide raises its ValueError."""
+    The sieve is asked for min(n + 1, 2^20), which holds every cofactor's
+    walk and, for n above it, every trial prime.  A cofactor that is_prime
+    cannot decide raises its ValueError."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    spf, primes = _sieve()
+    spf, primes = _sieve(min(n + 1, SIEVE_LIMIT))
     counts: dict[int, int] = {}
     stack = [n]
     while stack:

@@ -9,7 +9,6 @@ All sweeps are deterministic; seeded experiments reproduce bit-for-bit from
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -41,9 +40,11 @@ GRID_RULES = 256
 
 @dataclass(frozen=True)
 class LocusResult:
-    """Per-parameter component counts for one sweep, sorted by parameter."""
+    """Per-parameter component counts for one sweep, sorted by parameter:
+    the swept moduli of a locus, or the pair keys a*256 + b, range(65536),
+    of the CA grid."""
 
-    params: tuple
+    params: tuple[int, ...] | range
     component_counts: tuple[int, ...]
     generation: tuple[tuple[str, str], ...]
 
@@ -198,7 +199,8 @@ def ca_mandelbrot(width: int, workers: int = 1) -> LocusResult:
     32,896 pairs) and copied to the rest of the orbit; workers > 1 splits
     those representative pairs into that many parts, counted by a pool of
     at most os.cpu_count() processes, and the grid is the same for every
-    worker count."""
+    worker count.  The params are range(65536): entry a*256 + b is the
+    count of the pair (a, b), so grid_of reshapes the counts row by a."""
     if not 3 <= width <= 20:
         raise ValueError("width must be in 3..20")
     a, b = np.triu_indices(GRID_RULES)
@@ -213,9 +215,8 @@ def ca_mandelbrot(width: int, workers: int = 1) -> LocusResult:
             )
     full = np.zeros((GRID_RULES, GRID_RULES), dtype=np.int32)
     full[a, b] = full[b, a] = key_counts[cell_key]
-    params = tuple(itertools.product(range(GRID_RULES), repeat=2))
     return LocusResult(
-        params=params,
+        params=range(GRID_RULES * GRID_RULES),
         component_counts=tuple(full.ravel().tolist()),
         generation=(("space", f"bits:{width}"), ("maps", "ca:a,ca:b")),
     )

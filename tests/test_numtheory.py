@@ -1,6 +1,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +50,63 @@ def test_factorize_beyond_sieve():
     fac = nt.factorize(big)
     assert fac.factors == ((1_048_583, 1), (1_048_589, 1))
     assert nt.is_prime(1_048_583)
+
+
+# both sides of the least sieve (2^10), of the largest modulus the verify
+# sweeps reach (2^17) and of the sieve bound (2^20)
+_SIEVE_EDGES = (1023, 1024, 1025, 2**17 - 1, 2**17, 2**17 + 1, 2**20 - 1, 2**20, 2**20 + 1)
+_SIEVE_ORDERS = {
+    "ascending": _SIEVE_EDGES,
+    "descending": _SIEVE_EDGES[::-1],
+    "interleaved": (2**17, 1023, 2**20 + 1, 1025, 2**17 - 1, 2**20 - 1, 1024, 2**20, 2**17 + 1),
+}
+
+
+def _sieve_size(n: int) -> int:
+    # the table a query of n needs: a power of two above n, from 2^10 to 2^20
+    return min(max(1 << n.bit_length(), 1 << 10), nt.SIEVE_LIMIT)
+
+
+@pytest.mark.parametrize("first", ["is_prime", "factorize"])
+@pytest.mark.parametrize("order", sorted(_SIEVE_ORDERS))
+def test_sieve_grows_with_the_values_asked(monkeypatch, order, first):
+    # from no sieve, each query grows the kept table to the largest size
+    # asked so far and never shrinks it; either query may be the first to
+    # reach a size, and both agree with trial division at every step
+    monkeypatch.setattr(nt, "_SIEVE", None)
+    kept = 0
+    for n in _SIEVE_ORDERS[order]:
+        want_factors = tuple(sorted(naive_factors(n).items()))
+        if first == "is_prime":
+            assert nt.is_prime(n) == naive_is_prime(n), n
+            assert nt.factorize(n).factors == want_factors, n
+        else:
+            assert nt.factorize(n).factors == want_factors, n
+            assert nt.is_prime(n) == naive_is_prime(n), n
+        kept = max(kept, _sieve_size(n))
+        assert len(nt._SIEVE[0]) == kept, n
+
+
+def test_sieve_is_a_prefix_of_the_full_sieve(monkeypatch):
+    monkeypatch.setattr(nt, "_SIEVE", None)
+    full_spf, full_primes = nt._sieve(nt.SIEVE_LIMIT)
+    assert len(full_spf) == nt.SIEVE_LIMIT
+    for limit in (1, 2, 1024, 1025, 2**17, 2**17 + 1, 2**20 - 1, 2**20, 2**20 + 1):
+        monkeypatch.setattr(nt, "_SIEVE", None)
+        spf, primes = nt._sieve(limit)
+        size = _sieve_size(limit - 1)
+        assert len(spf) == size, limit
+        assert np.array_equal(spf, full_spf[:size]), limit
+        assert np.array_equal(primes, full_primes[full_primes < size]), limit
+        assert primes.tolist() == nt.primes_up_to(size - 1).tolist(), limit
+
+
+def test_a_small_prime_query_builds_the_least_sieve(monkeypatch):
+    monkeypatch.setattr(nt, "_SIEVE", None)
+    assert nt.is_prime(7)
+    assert len(nt._SIEVE[0]) <= 2**10
+    assert nt.factorize(1000).factors == ((2, 3), (5, 3))
+    assert len(nt._SIEVE[0]) <= 2**10
 
 
 # the least strong pseudoprimes to the first twelve and thirteen prime bases

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ringgraphs import metrics, survey
+from ringgraphs import metrics, numtheory, survey
 from ringgraphs.graphs import build_graph
 from ringgraphs.maps import Affine, MapFamily, Perm, PowerPlus, parse_maps
 from ringgraphs.spaces import Zn, parse_space
@@ -99,6 +99,17 @@ def test_ca_grid_diagonal_matches_single_rule(width3_grid):
     for rule in (0, 30, 110, 204, 255):
         g = build_graph(MapFamily((CARule(rule),), BitVec(3)))
         assert counts[rule, rule] == metrics.components(g)[0]
+
+
+def test_ca_grid_params_are_pair_keys(width3_grid):
+    # entry a*256 + b is the pair (a, b); perfbench's survey hook reads the
+    # grid's size as len(params)
+    params = width3_grid.params
+    assert len(params) == 65536
+    assert all(params[k] == k for k in range(65536))
+    assert width3_grid.connected_params() == tuple(
+        np.flatnonzero(survey.grid_of(width3_grid)).tolist()
+    )
 
 
 def test_ca_pbm_determinism(width3_grid):
@@ -299,6 +310,14 @@ def test_identity_permutations_leave_lambda_undefined():
 def test_artin_census_small():
     count, fraction = survey.artin_census(2)
     assert (count, fraction) == (1, 0.5)
+
+
+def test_artin_census_pinned_across_every_sieve_growth_step(monkeypatch):
+    # the first 10^4 primes reach 104,729, so from no sieve the census grows
+    # the kept table through every power of two from 2^10 to 2^17
+    monkeypatch.setattr(numtheory, "_SIEVE", None)
+    assert survey.artin_census(10**4) == (3750, 0.375)
+    assert len(numtheory._SIEVE[0]) == 2**17
 
 
 def test_artin_census_desk_scale():
